@@ -29,7 +29,7 @@ from .embedding import (flow_time1_jet, takens_embed_unipotent,
 from .singularities import (center_manifold_restricted_map,
                             check_regular_contact, classify_planar_singularity,
                             cm_normal_form_transform, embed_2d,
-                            embed_on_center_manifold)
+                            embed_on_center_manifold, is_standard_2d)
 from .dynamics import (branch_selection_experiment, fold_exit_experiment,
                        integrate_time1)
 from .specfiles import emit_jetvector, emit_mapspec, parse_jetvector, parse_mapspec
@@ -52,8 +52,8 @@ class ReportTable:
 
     @staticmethod
     def _cell(value) -> str:
-        if isinstance(value, float):
-            return repr(value)
+        if isinstance(value, (float, np.floating)):
+            return repr(float(value))
         return str(value)
 
     def to_csv(self) -> str:
@@ -86,6 +86,8 @@ def _parse_point(text: str, n: int) -> np.ndarray:
         vals = np.array([float(t) for t in text.split(",")])
     except ValueError:
         raise ParseError(f"bad --point value {text!r}") from None
+    if not np.all(np.isfinite(vals)):
+        raise ParseError(f"non-finite --point value {text!r}")
     if vals.shape != (n,):
         raise ParseError(f"--point needs {n} comma-separated coordinates")
     return vals
@@ -203,19 +205,11 @@ def _cmd_reduce(args, tols) -> int:
     return 0
 
 
-def _is_standard_2d(spec) -> bool:
-    if spec.n != 2 or spec.k != 1:
-        return False
-    n00, n10 = spec.N[0][0], spec.N[1][0]
-    return (abs(n00.constant_term - 1.0) <= 1e-12 and n00.degree_max == 0
-            and n10.is_zero())
-
-
 def _cmd_embed(args, tols) -> int:
     loaded = _load(args, tols)
     spec = loaded.spec
     order = args.order or spec.order
-    if _is_standard_2d(spec):
+    if is_standard_2d(spec):
         result = embed_2d(spec, order=order, tols=tols)
         emb = result.embedding
         print(f"case {result.case_in} -> {result.case_out}  K0={result.K0!r}  "

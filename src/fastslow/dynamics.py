@@ -12,6 +12,7 @@ eps-dependent distance from the face.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,8 +21,9 @@ from scipy.integrate import solve_ivp
 
 from .errors import (ConvergenceError, ExperimentError, PreconditionError,
                      StructuralError)
-from .jets import JetVector
-from .model import FastSlowMapSpec, extended_map_jets, reduced_data
+from .jets import JetVector, _evaluate_terms, _term_table
+from .model import (FastSlowMapSpec, critical_manifold_solve, extended_map_jets,
+                    reduced_data)
 from .singularities import classify_planar_singularity, threshold_lambda
 
 __all__ = [
@@ -98,26 +100,7 @@ class ScalingFit:
 
 def compile_jet_callable(jets: JetVector):
     """Flatten a jet vector into a fast point evaluator."""
-    table = [[(c, idx.exponents) for idx, c in comp.coeffs.items()]
-             for comp in jets]
-
-    def evaluate(point) -> np.ndarray:
-        out = np.empty(len(table))
-        p = tuple(float(v) for v in point)
-        for i, terms in enumerate(table):
-            acc = 0.0
-            for c, exps in terms:
-                t = c
-                for v, e in zip(p, exps):
-                    if e == 1:
-                        t *= v
-                    elif e:
-                        t *= v ** e
-                acc += t
-            out[i] = acc
-        return out
-
-    return evaluate
+    return functools.partial(_evaluate_terms, _term_table(jets), jets.num_vars)
 
 
 class _MapRunner:
@@ -186,23 +169,7 @@ def _seed_on_manifold(spec: FastSlowMapSpec, x_start: float, eps: float,
                       y_guess: float = 0.0) -> np.ndarray:
     """Critical-manifold point over x_start, corrected by eps times the
     reduced vector field."""
-    f = spec.f[0]
-    base = spec.base_point
-    y = float(y_guess)
-    for _ in range(80):
-        val = f.evaluate([x_start - base[0], y - base[1]])
-        if abs(val) <= spec.tols.manifold:
-            break
-        dy = f.partial(1).evaluate([x_start - base[0], y - base[1]])
-        if abs(dy) < 1e-14:
-            raise PreconditionError(
-                f"cannot solve the fast equation for y over x = {x_start} "
-                f"(degenerate branch near y = {y:.3g})")
-        y -= val / dy
-    else:
-        raise ConvergenceError(
-            f"manifold seed Newton stalled at |f| = {abs(val):.3g}")
-    z = np.array([x_start, y])
+    z = critical_manifold_solve(spec, [x_start, y_guess], frozen=(0,))
     mu = 1.0 + spec.DfN_at(z)[0, 0]
     if abs(mu) >= 1.0:
         raise PreconditionError(
@@ -400,16 +367,15 @@ def branch_selection_experiment(spec: FastSlowMapSpec, case: str, eps: float,
 
     if seed is None:
         if case == "Transcritical":
-            z = np.array([base[0] - 0.35, base[1] - 0.35])
-            z = _newton_full(spec, z)
+            z = critical_manifold_solve(spec, [base[0] - 0.35, base[1] - 0.35])
         else:
             if g0 > 0:
-                z = np.array([base[0], base[1] - 0.35])
-                z = _newton_full(spec, z, freeze_x=True)
+                z = critical_manifold_solve(spec, [base[0], base[1] - 0.35],
+                                            frozen=(0,))
             else:
                 s = +1.0 if side == "plus" else -1.0
-                z = np.array([base[0] + s * 0.35, base[1] + 0.35 ** 2])
-                z = _newton_full(spec, z, freeze_x=True)
+                z = critical_manifold_solve(
+                    spec, [base[0] + s * 0.35, base[1] + 0.35 ** 2], frozen=(0,))
     else:
         z = np.asarray(seed, dtype=float)
 
@@ -464,28 +430,3 @@ def branch_selection_experiment(spec: FastSlowMapSpec, case: str, eps: float,
     return BranchSelection(label=label, exit_point=z_exit, exit_edge=edge,
                            matched_point=matched, distance=dist,
                            d_match=d_match, lam=lam)
-
-
-def _newton_full(spec: FastSlowMapSpec, guess: np.ndarray,
-                 freeze_x: bool = False) -> np.ndarray:
-    """Project a guess onto the critical manifold (optionally moving y only)."""
-    z = guess.astype(float).copy()
-    f = spec.f[0]
-    base = spec.base_point
-    for _ in range(80):
-        d = z - base
-        val = f.evaluate(d)
-        if abs(val) <= spec.tols.manifold:
-            return z
-        if freeze_x:
-            dy = f.partial(1).evaluate(d)
-            if abs(dy) < 1e-12:
-                return z  # on a vertical branch (e.g. the center line)
-            z[1] -= val / dy
-        else:
-            grad = np.array([f.partial(0).evaluate(d), f.partial(1).evaluate(d)])
-            nrm2 = float(grad @ grad)
-            if nrm2 < 1e-20:
-                raise PreconditionError("degenerate manifold seed")
-            z -= grad * (val / nrm2)
-    raise ConvergenceError("branch seed Newton did not converge")

@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import (InternalError, PreconditionError, StructuralError,
                      UnsupportedCaseError)
-from .jets import (Jet, JetVector, MultiIndex, jet_matrix_inverse, jet_mul,
-                   max_coeff_diff, monomials_of_degree)
+from .jets import (Jet, JetVector, MultiIndex, jet_matrix_inverse, jet_matrix_mul,
+                   jet_mul, max_coeff_diff, monomials_of_degree)
 from .model import (FastSlowMapSpec, classify_point, nilpotency_index,
                     reduced_data)
 from .tols import DEFAULT_TOLS, Tolerances
@@ -347,51 +347,60 @@ class EmbeddingResult:
     residual: float
 
 
-# cache of per-degree basis compositions keyed by the nilpotent linear part;
-# entries are fully built before publication so concurrent embedding calls
-# only ever see complete levels
-_QCACHE: dict[bytes, dict] = {}
+def _substitution_levels(Ms: list[np.ndarray]):
+    """Matrices of the linear substitution x -> M(tau) x, with
+    M(tau) = sum_d Ms[d] tau^d, on the monomial basis of degree 1, 2, ...
+
+    Yields ``(basis, Q)`` per degree, where ``Q[d][b, a]`` is the coefficient
+    of tau^d x^basis[b] in (M(tau) x)^basis[a].  Each degree is built from
+    the previous one by multiplying with one linear factor."""
+    m = Ms[0].shape[0]
+    lin = np.stack([M.T for M in Ms])  # lin[d, j, s]: x_j coefficient of (M_d x)_s
+    basis = monomials_of_degree(m, 1)
+    var = [b.exponents.index(1) for b in basis]
+    Q = lin[:, var][:, :, var]
+    while True:
+        yield basis, Q
+        nxt = monomials_of_degree(m, basis[0].degree + 1)
+        index_of = {b: i for i, b in enumerate(nxt)}
+        prev_index = {b: i for i, b in enumerate(basis)}
+        first = [next(s for s, e in enumerate(a.exponents) if e) for a in nxt]
+        prev = [prev_index[a.replace(s, a.exponents[s] - 1)]
+                for a, s in zip(nxt, first)]
+        A = Q[:, :, prev]
+        out = np.zeros((len(Q) + len(Ms) - 1, len(nxt), len(nxt)))
+        for j in range(m):
+            up = [index_of[b.replace(j, b.exponents[j] + 1)] for b in basis]
+            for d, B in enumerate(lin[:, j, first]):
+                out[d:d + len(Q), up, :] += A * B
+        while len(out) > 1 and not out[-1].any():
+            out = out[:-1]
+        basis, Q = nxt, out
 
 
-def _basis_tau_powers(L: np.ndarray, Lpows: list[np.ndarray], num_vars: int,
-                      order: int, degree: int) -> dict[MultiIndex, list[Jet]]:
-    """(exp(L tau) x)^alpha for every |alpha| = degree, by graded recursion."""
-    key = L.tobytes() + bytes([num_vars, order])
-    cache = _QCACHE.get(key)
-    if cache is not None and degree in cache:
-        return cache[degree]
-    local: dict = dict(cache) if cache else {}
-    if 1 not in local:
-        lin = _linear_flow_tseries(Lpows, num_vars, order)
-        tau_vars = _tseries_vars(lin)
-        local[1] = {MultiIndex(tuple(1 if j == s else 0 for j in range(num_vars))):
-                    tau_vars[s] for s in range(num_vars)}
-    for d in range(2, degree + 1):
-        if d in local:
-            continue
-        level: dict[MultiIndex, list[Jet]] = {}
-        for alpha in monomials_of_degree(num_vars, d):
-            s = next(i for i, e in enumerate(alpha.exponents) if e)
-            prev = alpha.replace(s, alpha.exponents[s] - 1)
-            unit = MultiIndex(tuple(1 if j == s else 0 for j in range(num_vars)))
-            level[alpha] = _tau_mul(local[d - 1][prev] if d > 2 else local[1][prev],
-                                    local[1][unit], cap=d)
-        local[d] = level
-    if len(_QCACHE) > 64:
-        _QCACHE.clear()
-    _QCACHE[key] = local
-    return local[degree]
+def _solve_degree(op: np.ndarray, rhs: JetVector, basis: list[MultiIndex]
+                  ) -> tuple[np.ndarray, JetVector]:
+    """Solve ``op u = rhs`` for the homogeneous part u of one degree.
 
-
-def _homogeneous_vec(jv: JetVector, degree: int,
-                     index_of: dict[MultiIndex, int]) -> np.ndarray:
-    D = len(index_of)
-    out = np.zeros(len(jv) * D)
-    for i, comp in enumerate(jv):
+    ``rhs`` is packed onto ``basis`` (component-major, as ``np.kron`` lays
+    out an operator acting on each component) and the solution is returned
+    both as a (components x basis) coefficient matrix and as jets.  Raises
+    ``np.linalg.LinAlgError`` when ``op`` is singular."""
+    index_of = {b: i for i, b in enumerate(basis)}
+    vec = np.zeros((len(rhs), len(basis)))
+    for i, comp in enumerate(rhs):
         for idx, c in comp.coeffs.items():
-            if idx.degree == degree:
-                out[i * D + index_of[idx]] = c
-    return out
+            vec[i, index_of[idx]] = c
+    sol = np.linalg.solve(op, vec.ravel()).reshape(vec.shape)
+    return sol, _from_basis(sol, basis, rhs.num_vars, rhs.order)
+
+
+def _from_basis(coeffs: np.ndarray, basis: list[MultiIndex], num_vars: int,
+                order: int) -> JetVector:
+    """Jet vector whose component i has coefficient row ``coeffs[i]`` on
+    ``basis``."""
+    return JetVector([Jet(num_vars, order, dict(zip(basis, row))) for row in coeffs],
+                     num_vars, order)
 
 
 def takens_embed_unipotent(H: JetVector, order: int,
@@ -421,6 +430,8 @@ def takens_embed_unipotent(H: JetVector, order: int,
 
     lin_flow = _linear_flow_tseries(Lpows, m, H.order)
     cur = [jv.degree_cap(1) for jv in lin_flow]
+    levels = _substitution_levels([P / math.factorial(d) for d, P in enumerate(Lpows)])
+    next(levels)  # degree 1: the linear part is the logarithm itself
 
     for l in range(2, order + 1):
         nonlinear = JetVector([c.degree_cap(l - 1) - c.degree_cap(1) for c in V], m, H.order)
@@ -429,64 +440,23 @@ def takens_embed_unipotent(H: JetVector, order: int,
         known_series = _integrate_step(Lpows, integrand, lin_flow)
         known_l = _tseries_at_one(known_series).degree_part(l)
 
-        basis = monomials_of_degree(m, l)
-        index_of = {alpha: i for i, alpha in enumerate(basis)}
-        D = len(basis)
-        q = _basis_tau_powers(L, Lpows, m, H.order, l)
-
-        # operator: F -> int_0^1 exp(L(1-tau)) F(exp(L tau) x) dtau
-        op = np.zeros((m * D, m * D))
-        for a_idx, alpha in enumerate(basis):
-            q_alpha = q[alpha]
-            for i in range(m):
-                col = i * D + a_idx
-                for p, P in enumerate(Lpows):
-                    for d, qd in enumerate(q_alpha):
-                        if qd.is_zero():
-                            continue
-                        # exp(L(1-tau)) carries L^p/p!; the Beta integral
-                        # int (1-tau)^p tau^d = p! d!/(p+d+1)! cancels the p!
-                        w = math.factorial(d) / math.factorial(p + d + 1)
-                        for idx2, c2 in qd.coeffs.items():
-                            if idx2.degree != l:
-                                continue
-                            row_base = index_of[idx2]
-                            for j in range(m):
-                                pij = P[j, i]
-                                if pij != 0.0:
-                                    op[j * D + row_base, col] += pij * w * c2
-        rhs = _homogeneous_vec(H.degree_part(l), l, index_of) - \
-            _homogeneous_vec(known_l, l, index_of)
+        basis, Q = next(levels)
+        # operator: F -> int_0^1 exp(L(1-tau)) F(exp(L tau) x) dtau; exp(L(1-tau))
+        # carries L^p/p!, and the Beta integral int (1-tau)^p tau^d dtau =
+        # p! d!/(p+d+1)! cancels the p!
+        op = sum(math.factorial(d) / math.factorial(p + d + 1) * np.kron(P, Qd)
+                 for p, P in enumerate(Lpows) for d, Qd in enumerate(Q))
         try:
-            sol = np.linalg.solve(op, rhs)
+            sol, F_l = _solve_degree(op, H.degree_part(l) - known_l, basis)
         except np.linalg.LinAlgError as exc:
             raise InternalError(
                 f"per-degree matching operator is singular at degree {l} "
                 f"(cond {np.linalg.cond(op):.3g}); uniqueness should forbid this"
             ) from exc
-
-        F_comps = []
-        for i in range(m):
-            terms = {basis[a].exponents: sol[i * D + a] for a in range(D)
-                     if sol[i * D + a] != 0.0}
-            F_comps.append(Jet.from_terms(m, H.order, terms))
-        F_l = JetVector(F_comps, m, H.order)
         V = V + F_l
 
         # advance the flow state with the completed degree-l field
-        f_ins = []
-        top = max((len(q[alpha]) for alpha in basis), default=1)
-        for d in range(top):
-            comps = [Jet.zero(m, H.order) for _ in range(m)]
-            for a_idx, alpha in enumerate(basis):
-                qa = q[alpha]
-                if d >= len(qa) or qa[d].is_zero():
-                    continue
-                for i in range(m):
-                    c = sol[i * D + a_idx]
-                    if c != 0.0:
-                        comps[i] = comps[i] + qa[d] * c
-            f_ins.append(JetVector(comps, m, H.order))
+        f_ins = [_from_basis(sol @ Qd.T, basis, m, H.order) for Qd in Q]
         total = [integrand[d] + f_ins[d] if d < len(f_ins) else integrand[d]
                  for d in range(len(integrand))]
         total += f_ins[len(integrand):]
@@ -508,13 +478,7 @@ def projection_jets(spec: FastSlowMapSpec) -> list[list[Jet]]:
     fibers onto the critical manifold's tangent directions."""
     n, p, r = spec.n, spec.n - spec.k, spec.order
     Df = spec._df
-    M = [[None] * p for _ in range(p)]
-    for i in range(p):
-        for j in range(p):
-            acc = jet_mul(Df[i][0], spec.N[0][j])
-            for s in range(1, n):
-                acc = acc + jet_mul(Df[i][s], spec.N[s][j])
-            M[i][j] = acc
+    M = jet_matrix_mul(Df, spec.N)
     M0 = np.array([[M[i][j].constant_term for j in range(p)] for i in range(p)])
     if not np.isfinite(np.linalg.cond(M0)) or np.linalg.cond(M0) > spec.tols.cond_cap:
         raise PreconditionError(

@@ -250,20 +250,7 @@ class Jet:
         return jet_partial(self, var)
 
     def evaluate(self, point: Sequence[float]) -> float:
-        if len(point) != self.num_vars:
-            raise StructuralError(
-                f"point has {len(point)} coordinates, expected {self.num_vars}")
-        p = [float(x) for x in point]
-        total = 0.0
-        for idx, c in self.coeffs.items():
-            term = c
-            for x, e in zip(p, idx.exponents):
-                if e == 1:
-                    term *= x
-                elif e:
-                    term *= x ** e
-            total += term
-        return total
+        return float(_evaluate_terms(_term_table([self]), self.num_vars, point)[0])
 
     def degree_part(self, degree: int) -> "Jet":
         return Jet(self.num_vars, self.order,
@@ -401,7 +388,7 @@ class JetVector:
     __rmul__ = __mul__
 
     def evaluate(self, point: Sequence[float]) -> np.ndarray:
-        return np.array([c.evaluate(point) for c in self])
+        return _evaluate_terms(_term_table(self), self.num_vars, point)
 
     def linear_matrix(self) -> np.ndarray:
         """Coefficient matrix of the linear part, shape (len, num_vars)."""
@@ -428,6 +415,32 @@ class JetVector:
 
 
 # -- operations -------------------------------------------------------------
+
+
+def _term_table(jets: Iterable[Jet]) -> list[list[tuple[float, tuple[int, ...]]]]:
+    """(coefficient, exponents) pairs of each jet, in storage order."""
+    return [[(c, idx.exponents) for idx, c in jet.coeffs.items()] for jet in jets]
+
+
+def _evaluate_terms(table: list[list[tuple[float, tuple[int, ...]]]], num_vars: int,
+                    point: Sequence[float]) -> np.ndarray:
+    """Value at ``point`` of every jet of a :func:`_term_table`."""
+    if len(point) != num_vars:
+        raise StructuralError(
+            f"point has {len(point)} coordinates, expected {num_vars}")
+    p = [float(x) for x in point]
+    out = np.empty(len(table))
+    for i, terms in enumerate(table):
+        acc = 0.0
+        for c, exps in terms:
+            for x, e in zip(p, exps):
+                if e == 1:
+                    c *= x
+                elif e:
+                    c *= x ** e
+            acc += c
+        out[i] = acc
+    return out
 
 
 def jet_mul(a: Jet, b: Jet) -> Jet:
@@ -550,11 +563,6 @@ def jet_reciprocal(a: Jet) -> Jet:
         x = jet_mul(x, two - jet_mul(a, x))
     return Jet(a.num_vars, a.order, x.coeffs,
                min(a.reliable_order, a.order))
-
-
-def _mat_id(p: int, num_vars: int, order: int) -> list[list[Jet]]:
-    return [[Jet.constant(num_vars, order, 1.0 if i == j else 0.0)
-             for j in range(p)] for i in range(p)]
 
 
 def jet_matrix_mul(A: Sequence[Sequence[Jet]], B: Sequence[Sequence[Jet]]) -> list[list[Jet]]:

@@ -264,20 +264,28 @@ def reduced_map_step(spec: FastSlowMapSpec, z, eps: float) -> np.ndarray:
 
 
 def critical_manifold_solve(spec: FastSlowMapSpec, guess,
-                            max_iter: int = 50) -> np.ndarray:
-    """Newton iteration on f with minimum-norm updates."""
+                            max_iter: int = 50,
+                            frozen: Sequence[int] = ()) -> np.ndarray:
+    """Newton iteration on f with minimum-norm updates of the coordinates
+    not listed in ``frozen``; frozen coordinates come back unchanged.
+
+    Raises :class:`PreconditionError` when the Jacobian of f over the free
+    coordinates loses row rank."""
     z = np.asarray(guess, dtype=float).copy()
     fz = spec.f_at(z)
     if float(np.max(np.abs(fz), initial=0.0)) <= spec.tols.manifold:
         return z
+    free = [i for i in range(spec.n) if i not in frozen]
     p = spec.n - spec.k
     resid = None
     for _ in range(max_iter):
-        Df = spec.Df_at(z)
+        Df = spec.Df_at(z)[:, free]
         if np.linalg.matrix_rank(Df) < p:
-            raise PreconditionError("Jacobian of f loses row rank during Newton")
+            raise PreconditionError(
+                f"Jacobian of f over the free coordinates {free} loses row "
+                f"rank at z = {z}")
         step, *_ = np.linalg.lstsq(Df, -fz, rcond=None)
-        z = z + step
+        z[free] += step
         fz = spec.f_at(z)
         resid = float(np.max(np.abs(fz)))
         if resid <= spec.tols.manifold:

@@ -21,14 +21,17 @@ import scipy.linalg
 
 from .errors import DegenerateCaseError, PreconditionError, StructuralError
 from .jets import (Jet, JetVector, MultiIndex, jet_compose, jet_matrix_inverse,
-                   jet_mul, jet_partial, jet_reciprocal, monomials_of_degree)
+                   jet_matrix_mul, jet_mul, jet_partial, jet_reciprocal,
+                   monomials_of_degree)
 from .model import FastSlowMapSpec, extended_map_jets, nontrivial_multipliers
-from .embedding import EmbeddingResult, takens_embed_unipotent
+from .embedding import (EmbeddingResult, _solve_degree, _substitution_levels,
+                        takens_embed_unipotent)
 from .tols import DEFAULT_TOLS, Tolerances
 
 __all__ = [
     "NormalFormCoefficients",
     "PlanarSingularity",
+    "is_standard_2d",
     "classify_planar_singularity",
     "threshold_lambda",
     "Embed2DResult",
@@ -164,14 +167,20 @@ def _planar_case(p: _PlanarPartials, tols: Tolerances) -> PlanarSingularity:
     return PlanarSingularity(None, None, tuple(failed))
 
 
-def _require_standard_2d(spec: FastSlowMapSpec) -> None:
+def is_standard_2d(spec: FastSlowMapSpec) -> bool:
+    """Planar (n = 2, k = 1) with the constant factor column N = (1, 0)."""
     if spec.n != 2 or spec.k != 1:
-        raise PreconditionError("planar analysis needs n = 2, k = 1")
+        return False
     n00, n10 = spec.N[0][0], spec.N[1][0]
-    if (abs(n00.constant_term - 1.0) > 1e-12 or n00.degree_max > 0
-            or not n10.is_zero()):
+    return (abs(n00.constant_term - 1.0) <= 1e-12 and n00.degree_max == 0
+            and n10.is_zero())
+
+
+def _require_standard_2d(spec: FastSlowMapSpec) -> None:
+    if not is_standard_2d(spec):
         raise PreconditionError(
-            "planar analysis needs the standard-form factor column (1, 0)")
+            "planar analysis needs n = 2, k = 1 and the standard-form factor "
+            "column (1, 0)")
 
 
 def _planar_partials_from_spec(spec: FastSlowMapSpec) -> _PlanarPartials:
@@ -658,30 +667,6 @@ def _split_var_divisible(jet: Jet, var: int, tol: float, what: str) -> Jet:
     return Jet(jet.num_vars, jet.order, keep, jet.reliable_order)
 
 
-def _monomial_substitution_columns(M: np.ndarray, degree: int, order: int
-                                   ) -> tuple[list[MultiIndex], np.ndarray]:
-    """Coefficients of (monomial o M) for every monomial of the degree.
-
-    Returns the graded basis and a matrix S with S[beta, alpha] the
-    beta-coefficient of x^alpha composed with the linear map M."""
-    mvars = M.shape[0]
-    basis = monomials_of_degree(mvars, degree)
-    index_of = {b: i for i, b in enumerate(basis)}
-    lin = [Jet.from_terms(mvars, order,
-                          {tuple(1 if j == s else 0 for j in range(mvars)): M[i, s]
-                           for s in range(mvars) if M[i, s] != 0.0})
-           for i in range(mvars)]
-    S = np.zeros((len(basis), len(basis)))
-    for a_idx, alpha in enumerate(basis):
-        term: Jet | None = None
-        for i, e in enumerate(alpha.exponents):
-            for _ in range(e):
-                term = lin[i] if term is None else jet_mul(term, lin[i])
-        for idx, c in term.coeffs.items():
-            S[index_of[idx], a_idx] = c
-    return basis, S
-
-
 def center_manifold_restricted_map(nf: ContactNormalForm,
                                    order: int | None = None,
                                    tols: Tolerances | None = None) -> CenterManifoldData:
@@ -720,6 +705,7 @@ def center_manifold_restricted_map(nf: ContactNormalForm,
         M[k + 1, k + 1] = 1.0
 
         W = JetVector.zeros(p - 1, mred, r)
+        levels = _substitution_levels([M])
         for d in range(1, order + 1):
             inner_red = JetVector(x_red + [u_red] + list(W) + [eps_red], mred, r)
             lhs = [jet_compose(nf.hat_map[k + 1 + mm], inner_red)
@@ -727,26 +713,20 @@ def center_manifold_restricted_map(nf: ContactNormalForm,
             ret_xu = [jet_compose(nf.hat_map[i], inner_red) for i in range(k + 1)]
             inner_W = JetVector(ret_xu + [eps_red], mred, r)
             rhs = [jet_compose(W[mm], inner_W) for mm in range(p - 1)]
-            defect = [(lhs[mm] - rhs[mm]).degree_part(d) for mm in range(p - 1)]
+            defect = JetVector([(rhs[mm] - lhs[mm]).degree_part(d)
+                                for mm in range(p - 1)], mred, r)
 
-            basis, S = _monomial_substitution_columns(M, d, r)
+            basis, Q = next(levels)
             D = len(basis)
-            index_of = {b: i for i, b in enumerate(basis)}
-            T = np.kron(btilde, np.eye(D)) - np.kron(np.eye(p - 1), S)
-            rhs_vec = np.zeros((p - 1) * D)
-            for mm in range(p - 1):
-                for idx, c in defect[mm].coeffs.items():
-                    rhs_vec[mm * D + index_of[idx]] = c
+            T = np.kron(btilde, np.eye(D)) - np.kron(np.eye(p - 1), Q[0])
             try:
-                sol = np.linalg.solve(T, -rhs_vec)
+                _, W_d = _solve_degree(T, defect, basis)
             except np.linalg.LinAlgError as exc:
                 raise PreconditionError(
                     f"graph solve singular at degree {d}: offending "
                     f"eigenvalues {np.round(np.linalg.eigvals(btilde), 12)}"
                 ) from exc
-            W = JetVector([W[mm] + Jet.from_terms(mred, r, {
-                basis[a].exponents: sol[mm * D + a] for a in range(D)
-                if sol[mm * D + a] != 0.0}) for mm in range(p - 1)], mred, r)
+            W = W + W_d
 
         inner_red = JetVector(x_red + [u_red] + list(W) + [eps_red], mred, r)
         lhs = [jet_compose(nf.hat_map[k + 1 + mm], inner_red) for mm in range(p - 1)]
@@ -781,13 +761,7 @@ def center_manifold_restricted_map(nf: ContactNormalForm,
         rPW0.append(acc)
     N_cm = [[jet_compose(spec.N[i][j], JetVector(z_cm, mred, r))
              for j in range(p)] for i in range(k)]
-    DfN_jets = [[None] * p for _ in range(p)]
-    for a in range(p):
-        for b in range(p):
-            acc = jet_mul(spec._df[a][0], spec.N[0][b])
-            for s in range(1, n):
-                acc = acc + jet_mul(spec._df[a][s], spec.N[s][b])
-            DfN_jets[a][b] = acc
+    DfN_jets = jet_matrix_mul(spec._df, spec.N)
     lDfN_cm = []
     for b in range(p):
         acc = Jet.zero(n, r)

@@ -23,6 +23,7 @@ sections) and are used to store embedded vector fields.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +69,9 @@ def _parse_terms(lines: list[tuple[int, str]], arity: int,
             coeff = float(coeff_text.strip())
         except ValueError:
             raise ParseError(f"bad coefficient {coeff_text.strip()!r}", lineno) from None
+        if not math.isfinite(coeff):
+            raise ParseError(f"non-finite coefficient {coeff_text.strip()!r} in {section}",
+                             lineno)
         if exps in terms:
             raise ParseError(f"duplicate term {' '.join(map(str, exps))} in {section}",
                              lineno)
@@ -134,6 +138,8 @@ def parse_mapspec(text: str, tols: Tolerances = DEFAULT_TOLS) -> MapSpecFile:
         base = np.array([float(t) for t in toks])
     except ValueError:
         raise ParseError(f"bad base coordinates {toks}", lineno) from None
+    if not np.all(np.isfinite(base)):
+        raise ParseError(f"non-finite base coordinates {toks}", lineno)
 
     p = n - k
     N_rows = []

@@ -235,3 +235,44 @@ class TestCommandErrorSurface:
     def test_missing_file_exit_2(self, capsys):
         assert execute_command(["classify", "--spec", "/nope/missing.map",
                                 "--point", "0,0"]) == 2
+
+
+class TestReportCells:
+    def test_center_manifold_csv_has_plain_floats(self, tmp_path):
+        path = tmp_path / "c3.map"
+        path.write_text(emit_mapspec(make_contact3d_spec()))
+        out = tmp_path / "cm.csv"
+        assert execute_command(["center-manifold", "--spec", str(path),
+                                "--order", "4", "--out", str(out)]) == 0
+        text = out.read_text()
+        assert "linear_match," in text
+        assert "np." not in text
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("old,new,line", [
+        ("2 0 : 1", "2 0 : nan", 9),
+        ("0 0 0 : -1", "0 0 0 : -inf", 14),
+        ("base 0 0", "base 0 nan", 3),
+    ])
+    def test_spec_value_refused_exit_2(self, tmp_path, capsys, old, new, line):
+        path = tmp_path / "bad.map"
+        path.write_text(FOLD_TEXT.replace(old, new))
+        assert execute_command(["classify", "--spec", str(path),
+                                "--point", "0,0"]) == 2
+        err = capsys.readouterr().err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error[ParseError]: ")
+        assert f"line {line}" in lines[0]
+        assert "Traceback" not in err
+
+    def test_point_refused_exit_2(self, fold_file, capsys):
+        assert execute_command(["classify", "--spec", fold_file,
+                                "--point", "nan,0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[ParseError]: ") and len(err.splitlines()) == 1
+
+    def test_field_file_refused(self):
+        text = "fieldvars 1\norder 2\n[V 1]\n2 : inf\n"
+        with pytest.raises(ParseError, match="line 4"):
+            parse_jetvector(text)

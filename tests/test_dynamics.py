@@ -4,7 +4,7 @@ and the three scaling experiments."""
 import numpy as np
 import pytest
 
-from fastslow.errors import ExperimentError, PreconditionError
+from fastslow.errors import ExperimentError, PreconditionError, StructuralError
 from fastslow.jets import Jet, JetVector
 from fastslow.dynamics import (Box, branch_selection_experiment,
                                compile_jet_callable, fit_powerlaw,
@@ -270,3 +270,25 @@ class TestEmbeddedFlowReproducesExit:
             gaps.append(abs(y_map - y_flow) / abs(y_map))
         assert all(g <= 0.01 for g in gaps)
         assert gaps[0] < gaps[1]  # agreement improves toward the singular limit
+
+
+class TestManifoldSeeds:
+    def test_degenerate_fast_equation_refused(self):
+        # f = x^2 - y^2 has f_y = 0 on y = 0: Newton in y alone cannot move
+        with pytest.raises(PreconditionError):
+            track_slow_manifold(make_transcritical_spec(), 1e-3, -0.5, y_guess=0.0)
+
+    def test_seed_keeps_x_start(self, fold_spec):
+        curve = track_slow_manifold(fold_spec, 0.0, -0.37, transient=0, max_steps=0)
+        assert curve[0, 0] == -0.37
+        assert abs(curve[0, 1] - 0.37 ** 2) <= 1e-11
+
+
+class TestCompiledEvaluator:
+    def test_arity_checked(self):
+        V = JetVector([Jet.from_terms(2, 3, {(0, 0): 1.0, (1, 0): 0.3}),
+                       Jet.from_terms(2, 3, {(1, 1): 0.5, (2, 0): 1.0})])
+        with pytest.raises(StructuralError, match="2 coordinates|expected 2"):
+            compile_jet_callable(V)([0.3])
+        with pytest.raises(StructuralError):
+            compile_jet_callable(V)([0.3, 0.1, 0.2])

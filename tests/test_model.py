@@ -290,3 +290,21 @@ class TestOscillatoryExtension:
         cls = classify_point(spec, np.zeros(3))
         assert cls.tag == "MixedNonNH"
         assert cls.unipotent_index == 2
+
+
+class TestFrozenManifoldSolve:
+    def test_frozen_coordinate_unchanged(self, fold_spec):
+        start = np.array([-0.43, 0.1])
+        out = critical_manifold_solve(fold_spec, start, frozen=(0,))
+        assert out[0] == start[0]
+        assert abs(fold_spec.f_at(out)[0]) <= 1e-11
+
+    def test_degenerate_free_jacobian_refused(self):
+        # f = x^2 - y^2: f_y vanishes on y = 0, so y alone cannot be solved for
+        spec = standard_form_2d({(2, 0): 1.0, (0, 2): -1.0}, {}, {(0, 0, 0): 1.0},
+                                order=3)
+        with pytest.raises(PreconditionError, match="loses row rank"):
+            critical_manifold_solve(spec, [-0.5, 0.0], frozen=(0,))
+        # with both coordinates free the same guess converges
+        out = critical_manifold_solve(spec, [-0.5, 0.0])
+        assert abs(spec.f_at(out)[0]) <= 1e-11
