@@ -101,9 +101,15 @@ def _parse_eps_grid(text: str) -> np.ndarray:
         a, b, count = float(parts[0]), float(parts[1]), int(parts[3])
     except ValueError:
         raise ParseError(f"bad --eps grid {text!r}") from None
-    if not (0 < a < b) or count < 2:
-        raise ParseError("eps grid needs 0 < A < B and N >= 2")
+    if not (0 < a < b < np.inf) or count < 2:
+        raise ParseError("eps grid needs 0 < A < B < inf and N >= 2")
     return np.logspace(np.log10(a), np.log10(b), count)
+
+
+def _finite_option(value: float, name: str) -> float:
+    if not np.isfinite(value):
+        raise ParseError(f"non-finite {name} value {value!r}")
+    return value
 
 
 def _load(args, tols: Tolerances):
@@ -247,10 +253,11 @@ def _cmd_verify_reduced(args, tols) -> int:
 def _cmd_fold_exit(args, tols) -> int:
     loaded = _load(args, tols)
     grid = _parse_eps_grid(args.eps)
-    fit = fold_exit_experiment(loaded.spec, args.rho, grid,
+    rho = _finite_option(args.rho, "--rho")
+    fit = fold_exit_experiment(loaded.spec, rho, grid,
                                observable=args.observable)
     prov = _provenance(args, loaded, tols)
-    prov.update({"rho": repr(args.rho), "observable": args.observable,
+    prov.update({"rho": repr(rho), "observable": args.observable,
                  "slope": repr(fit.slope), "intercept": repr(fit.intercept),
                  "r_squared": repr(fit.r_squared),
                  "excluded": " ".join(repr(e) for e in fit.excluded) or "none"})
@@ -265,6 +272,7 @@ def _cmd_fold_exit(args, tols) -> int:
 def _cmd_branch_select(args, tols) -> int:
     loaded = _load(args, tols)
     spec = loaded.spec
+    eps = _finite_option(args.eps, "--eps")
     case = args.case
     if case == "auto":
         cls = classify_planar_singularity(spec)
@@ -272,7 +280,7 @@ def _cmd_branch_select(args, tols) -> int:
             raise PreconditionError(
                 "spec does not classify; failed: " + "; ".join(cls.failed))
         case = cls.case
-    sel = branch_selection_experiment(spec, case, args.eps, side=args.side)
+    sel = branch_selection_experiment(spec, case, eps, side=args.side)
     exit_pt = ",".join(repr(float(v)) for v in sel.exit_point)
     print(f"{sel.label} lambda={sel.lam!r} exit={exit_pt} edge={sel.exit_edge} "
           f"distance={sel.distance!r} d_match={sel.d_match!r}")

@@ -3,16 +3,17 @@
 Two directions:
 
 * :func:`flow_time1_jet` computes the jet of the time-1 map of a polynomial
-  vector field with nilpotent linear part, by Picard iteration.  Because the
-  linear part is nilpotent, every integrand is a polynomial in the time
-  variable and all integrals are evaluated exactly.
+  vector field V with nilpotent linear part as the Lie series exp(D_V) x,
+  where D_V g = sum_j V_j dg/dx_j.  Because the linear part is nilpotent,
+  the truncated series is finite and exact.
 
 * :func:`takens_embed_unipotent` inverts that computation: given a map jet
   whose linear part is unipotent, it solves degree by degree for the unique
   vector field whose time-1 map matches the given jet.  At each degree the
   unknown homogeneous part enters through an invertible linear operator on
   the coefficient space, which is materialized as a dense matrix on the
-  monomial basis and solved directly.
+  monomial basis and solved directly; the known part is the same Lie
+  series, summed for the field found so far.
 
 :func:`jordan_chevalley_split` is a diagnostic that separates a general
 linear part into commuting semisimple and nilpotent factors; maps whose
@@ -29,7 +30,7 @@ import numpy as np
 from .errors import (InternalError, PreconditionError, StructuralError,
                      UnsupportedCaseError)
 from .jets import (Jet, JetVector, MultiIndex, jet_matrix_inverse, jet_matrix_mul,
-                   jet_mul, max_coeff_diff, monomials_of_degree)
+                   jet_mul, jet_partial, max_coeff_diff, monomials_of_degree)
 from .model import (FastSlowMapSpec, classify_point, nilpotency_index,
                     reduced_data)
 from .tols import DEFAULT_TOLS, Tolerances
@@ -180,163 +181,64 @@ def _nilpotent_powers(L: np.ndarray, tol: float) -> list[np.ndarray]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# jets with polynomial-in-time coefficients
-#
-# A "t-series" is a list of JetVectors: entry d is the coefficient of t^d.
-# The flow state of a nilpotent-linear-part field always has this form, and
-# all time integrals below are exact Beta-function evaluations.
+def _time1(V: JetVector, order: int, depth: int) -> JetVector:
+    """Jet of the time-1 map of ``V``, truncated at degree ``order``: the Lie
+    series exp(D_V) x with D_V g = sum_j V_j dg/dx_j.
+
+    Requires V(0) = 0, so D_V never lowers a degree and truncating before
+    each application loses nothing: the truncated sum is exact.  The series
+    is finite.  ``depth`` is the nilpotency index of the linear part L
+    (L^depth = 0), so on degree-d jets the linear part of D_V is nilpotent
+    of index at most d(depth - 1) + 1, while the nonlinear part raises the
+    degree.
+    A nonzero term of degree at most ``order`` therefore comes from at most
+    order - 1 raising steps and d(depth - 1) linear steps at each degree
+    d = 1..order, which bounds the number of terms by
+    (order - 1) + (depth - 1) order (order + 1) / 2.  The loop stops there,
+    or earlier on an exactly zero term.
+
+    Storage order and reliable order of the result are those of ``V``."""
+    m = V.num_vars
+    field = [c.truncated(order) for c in V]
+    term = JetVector.identity(m, order)
+    total = term
+    for k in range(1, order + (depth - 1) * order * (order + 1) // 2):
+        comps = []
+        for g in term:
+            acc = Jet.zero(m, order)
+            for j, v in enumerate(field):
+                acc = acc + jet_mul(v, jet_partial(g, j))
+            comps.append(acc * (1.0 / k))
+        term = JetVector(comps, m, order)
+        if term.max_abs() == 0.0:
+            break
+        total = total + term
+    reliable = min(c.reliable_order for c in V)
+    return JetVector([Jet(m, V.order, c.coeffs, reliable) for c in total], m, V.order)
 
 
-def _tseries_vars(series: list[JetVector]) -> list[list[Jet]]:
-    """Transpose a t-series of jet vectors into per-variable t-polynomials."""
-    ncomp = len(series[0])
-    return [[jv[s] for jv in series] for s in range(ncomp)]
-
-
-def _tau_mul(a: list[Jet], b: list[Jet], cap: int) -> list[Jet]:
-    """Product of two scalar t-polynomials with jet coefficients; jet degrees
-    above ``cap`` are dropped."""
-    num_vars, order = a[0].num_vars, a[0].order
-    out = [Jet.zero(num_vars, order) for _ in range(len(a) + len(b) - 1)]
-    for i, ja in enumerate(a):
-        if ja.is_zero():
-            continue
-        for j, jb in enumerate(b):
-            if jb.is_zero():
-                continue
-            out[i + j] = out[i + j] + jet_mul(ja, jb).degree_cap(cap)
-    while len(out) > 1 and out[-1].is_zero():
-        out.pop()
-    return out
-
-
-def _tau_compose_jet(outer: Jet, tau_vars: list[list[Jet]], cap: int) -> list[Jet]:
-    """Evaluate the polynomial ``outer`` on constant-free t-polynomial
-    arguments, producing a scalar t-polynomial with jet coefficients."""
-    num_vars, order = tau_vars[0][0].num_vars, tau_vars[0][0].order
-    powers: dict[tuple[int, int], list[Jet]] = {}
-
-    def power(s: int, e: int) -> list[Jet]:
-        key = (s, e)
-        got = powers.get(key)
-        if got is None:
-            got = tau_vars[s] if e == 1 else _tau_mul(power(s, e - 1), tau_vars[s], cap)
-            powers[key] = got
-        return got
-
-    acc = [Jet.zero(num_vars, order)]
-    for idx, c in outer.coeffs.items():
-        term: list[Jet] | None = None
-        for s, e in enumerate(idx.exponents):
-            if e:
-                p = power(s, e)
-                term = p if term is None else _tau_mul(term, p, cap)
-        if term is None:
-            acc[0] = acc[0] + Jet.constant(num_vars, order, c)
-            continue
-        if len(acc) < len(term):
-            acc = acc + [Jet.zero(num_vars, order)] * (len(term) - len(acc))
-        for d, jd in enumerate(term):
-            if not jd.is_zero():
-                acc[d] = acc[d] + jd * c
-    return acc
-
-
-def _mat_apply(mat: np.ndarray, jv: JetVector) -> JetVector:
-    comps = []
-    for i in range(mat.shape[0]):
-        acc = Jet.zero(jv.num_vars, jv.order)
-        for j, c in enumerate(jv):
-            a = mat[i, j]
-            if a != 0.0 and not c.is_zero():
-                acc = acc + c * a
-        comps.append(acc)
-    return JetVector(comps, jv.num_vars, jv.order)
-
-
-def _linear_flow_tseries(Lpows: list[np.ndarray], num_vars: int, order: int) -> list[JetVector]:
-    """t-series of exp(L t) applied to the identity jet vector."""
-    ident = JetVector.identity(num_vars, order)
-    out = []
-    for d, P in enumerate(Lpows):
-        out.append(_mat_apply(P / math.factorial(d), ident))
-    return out
-
-
-def _integrate_step(Lpows: list[np.ndarray], integrand: list[JetVector],
-                    base: list[JetVector]) -> list[JetVector]:
-    """base(t) + integral_0^t exp(L (t - tau)) integrand(tau) d tau, exactly.
-
-    Uses int_0^t (t - tau)^p tau^d dtau = t^(p+d+1) p! d! / (p+d+1)!.
-    """
-    num_vars, order = base[0].num_vars, base[0].order
-    top = len(Lpows) - 1 + len(integrand) - 1 + 1
-    out = list(base) + [JetVector.zeros(len(base[0]), num_vars, order)
-                        for _ in range(max(0, top + 1 - len(base)))]
-    for p, P in enumerate(Lpows):
-        for d, F in enumerate(integrand):
-            if F.max_abs() == 0.0:
-                continue
-            factor = math.factorial(d) / math.factorial(p + d + 1)
-            out[p + d + 1] = out[p + d + 1] + _mat_apply(P * factor, F)
-    while len(out) > 1 and out[-1].max_abs() == 0.0:
-        out.pop()
-    return out
-
-
-def _tseries_at_one(series: list[JetVector]) -> JetVector:
-    acc = series[0]
-    for jv in series[1:]:
-        acc = acc + jv
-    return acc
-
-
-def _check_field(V: JetVector, tols: Tolerances) -> tuple[np.ndarray, list[np.ndarray]]:
+def _check_field(V: JetVector, tols: Tolerances) -> int:
+    """Validate a vector field; returns the depth of its nilpotent linear
+    part (see :func:`_time1`)."""
     if len(V) != V.num_vars:
         raise StructuralError("vector field must have one component per variable")
     const = V.constant_vector()
     if np.max(np.abs(const), initial=0.0) != 0.0:
         raise StructuralError("vector field must vanish at the origin; "
                               "re-expand about the equilibrium first")
-    L = V.linear_matrix()
-    return L, _nilpotent_powers(L, tols.nilp)
+    return len(_nilpotent_powers(V.linear_matrix(), tols.nilp))
 
 
 def flow_time1_jet(V: JetVector, order: int,
                    tols: Tolerances = DEFAULT_TOLS) -> JetVector:
     """Jet of the time-1 map of a vector field with nilpotent linear part.
 
-    Picard recursion: the degree-l jet of the flow is obtained from the
-    degree-(l-1) jet by one exactly-integrated step; ``order - 1`` steps fix
-    the requested jet.
+    Sums the Lie series exp(D_V) x, which is finite because the linear part
+    is nilpotent; every coefficient is exact up to rounding.
     """
     if order < 1 or order > V.order:
         raise StructuralError(f"order must lie in 1..{V.order}")
-    _, Lpows = _check_field(V, tols)
-    lin_flow = _linear_flow_tseries(Lpows, V.num_vars, V.order)
-    nonlinear = JetVector([c - c.degree_cap(1) for c in V], V.num_vars, V.order)
-    cur = [jv.degree_cap(1) for jv in lin_flow]
-    for l in range(2, order + 1):
-        tau_vars = _tseries_vars(cur)
-        integrand = _compose_field(nonlinear.degree_cap(l), tau_vars, cap=l)
-        cur = _integrate_step(Lpows, integrand, lin_flow)
-        cur = [jv.degree_cap(l) for jv in cur]
-    return _tseries_at_one(cur).degree_cap(order)
-
-
-def _compose_field(F: JetVector, tau_vars: list[list[Jet]], cap: int) -> list[JetVector]:
-    """Evaluate each component of ``F`` on t-polynomial arguments; returns a
-    t-series of jet vectors capped at jet degree ``cap``."""
-    per_comp = [_tau_compose_jet(c, tau_vars, cap) for c in F]
-    top = max(len(p) for p in per_comp)
-    num_vars = tau_vars[0][0].num_vars
-    order = tau_vars[0][0].order
-    out = []
-    for d in range(top):
-        comps = [p[d] if d < len(p) else Jet.zero(num_vars, order) for p in per_comp]
-        out.append(JetVector(comps, num_vars, order))
-    return out
+    return _time1(V, order, _check_field(V, tols))
 
 
 @dataclass
@@ -378,29 +280,20 @@ def _substitution_levels(Ms: list[np.ndarray]):
         basis, Q = nxt, out
 
 
-def _solve_degree(op: np.ndarray, rhs: JetVector, basis: list[MultiIndex]
-                  ) -> tuple[np.ndarray, JetVector]:
+def _solve_degree(op: np.ndarray, rhs: JetVector, basis: list[MultiIndex]) -> JetVector:
     """Solve ``op u = rhs`` for the homogeneous part u of one degree.
 
     ``rhs`` is packed onto ``basis`` (component-major, as ``np.kron`` lays
     out an operator acting on each component) and the solution is returned
-    both as a (components x basis) coefficient matrix and as jets.  Raises
-    ``np.linalg.LinAlgError`` when ``op`` is singular."""
+    as jets.  Raises ``np.linalg.LinAlgError`` when ``op`` is singular."""
     index_of = {b: i for i, b in enumerate(basis)}
     vec = np.zeros((len(rhs), len(basis)))
     for i, comp in enumerate(rhs):
         for idx, c in comp.coeffs.items():
             vec[i, index_of[idx]] = c
     sol = np.linalg.solve(op, vec.ravel()).reshape(vec.shape)
-    return sol, _from_basis(sol, basis, rhs.num_vars, rhs.order)
-
-
-def _from_basis(coeffs: np.ndarray, basis: list[MultiIndex], num_vars: int,
-                order: int) -> JetVector:
-    """Jet vector whose component i has coefficient row ``coeffs[i]`` on
-    ``basis``."""
-    return JetVector([Jet(num_vars, order, dict(zip(basis, row))) for row in coeffs],
-                     num_vars, order)
+    return JetVector([Jet(rhs.num_vars, rhs.order, dict(zip(basis, row))) for row in sol],
+                     rhs.num_vars, rhs.order)
 
 
 def takens_embed_unipotent(H: JetVector, order: int,
@@ -428,17 +321,13 @@ def takens_embed_unipotent(H: JetVector, order: int,
                for i in range(m)]
     V = JetVector(V_comps, m, H.order)
 
-    lin_flow = _linear_flow_tseries(Lpows, m, H.order)
-    cur = [jv.degree_cap(1) for jv in lin_flow]
+    depth = len(Lpows)
     levels = _substitution_levels([P / math.factorial(d) for d, P in enumerate(Lpows)])
     next(levels)  # degree 1: the linear part is the logarithm itself
 
     for l in range(2, order + 1):
-        nonlinear = JetVector([c.degree_cap(l - 1) - c.degree_cap(1) for c in V], m, H.order)
-        tau_vars = _tseries_vars(cur)
-        integrand = _compose_field(nonlinear, tau_vars, cap=l)
-        known_series = _integrate_step(Lpows, integrand, lin_flow)
-        known_l = _tseries_at_one(known_series).degree_part(l)
+        # V holds degrees < l here; adding F_l adds op F_l at degree l
+        known_l = _time1(V, l, depth).degree_part(l)
 
         basis, Q = next(levels)
         # operator: F -> int_0^1 exp(L(1-tau)) F(exp(L tau) x) dtau; exp(L(1-tau))
@@ -447,7 +336,7 @@ def takens_embed_unipotent(H: JetVector, order: int,
         op = sum(math.factorial(d) / math.factorial(p + d + 1) * np.kron(P, Qd)
                  for p, P in enumerate(Lpows) for d, Qd in enumerate(Q))
         try:
-            sol, F_l = _solve_degree(op, H.degree_part(l) - known_l, basis)
+            F_l = _solve_degree(op, H.degree_part(l) - known_l, basis)
         except np.linalg.LinAlgError as exc:
             raise InternalError(
                 f"per-degree matching operator is singular at degree {l} "
@@ -455,16 +344,7 @@ def takens_embed_unipotent(H: JetVector, order: int,
             ) from exc
         V = V + F_l
 
-        # advance the flow state with the completed degree-l field
-        f_ins = [_from_basis(sol @ Qd.T, basis, m, H.order) for Qd in Q]
-        total = [integrand[d] + f_ins[d] if d < len(f_ins) else integrand[d]
-                 for d in range(len(integrand))]
-        total += f_ins[len(integrand):]
-        cur = _integrate_step(Lpows, total, lin_flow)
-        cur = [jv.degree_cap(l) for jv in cur]
-
-    flow = _tseries_at_one(cur).degree_cap(order)
-    residual = max_coeff_diff(flow, H.degree_cap(order))
+    residual = max_coeff_diff(_time1(V, order, depth), H.degree_cap(order))
     return EmbeddingResult(V=V.degree_cap(order), matched_order=order,
                            residual=residual)
 

@@ -41,6 +41,12 @@ TAGS = ("NH_attracting", "NH_repelling", "NH_saddle",
         "FoldContact", "Flip", "NeimarkSacker", "MixedNonNH")
 
 
+def _evaluate_matrix(rows: Sequence[Sequence[Jet]], point: np.ndarray) -> np.ndarray:
+    """Values of a matrix of jets at ``point``, from one term table."""
+    flat = JetVector([e for row in rows for e in row])
+    return flat.evaluate(point).reshape(len(rows), -1)
+
+
 @dataclass
 class FastSlowMapSpec:
     """Immutable-by-convention description of one fast-slow map.
@@ -104,12 +110,10 @@ class FastSlowMapSpec:
         return self.f.evaluate(d)
 
     def N_at(self, z) -> np.ndarray:
-        d = self.local(z)
-        return np.array([[e.evaluate(d) for e in row] for row in self.N])
+        return _evaluate_matrix(self.N, self.local(z))
 
     def Df_at(self, z) -> np.ndarray:
-        d = self.local(z)
-        return np.array([[e.evaluate(d) for e in row] for row in self._df])
+        return _evaluate_matrix(self._df, self.local(z))
 
     def DfN_at(self, z) -> np.ndarray:
         return self.Df_at(z) @ self.N_at(z)

@@ -720,7 +720,7 @@ def center_manifold_restricted_map(nf: ContactNormalForm,
             D = len(basis)
             T = np.kron(btilde, np.eye(D)) - np.kron(np.eye(p - 1), Q[0])
             try:
-                _, W_d = _solve_degree(T, defect, basis)
+                W_d = _solve_degree(T, defect, basis)
             except np.linalg.LinAlgError as exc:
                 raise PreconditionError(
                     f"graph solve singular at degree {d}: offending "

@@ -272,6 +272,20 @@ class TestNonFiniteInput:
         err = capsys.readouterr().err
         assert err.startswith("error[ParseError]: ") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["fold-exit", "--eps", "1e-4:inf:log:4"],
+        ["fold-exit", "--eps", "1e-4:1e-3:log:4", "--rho", "nan"],
+        ["branch-select", "--eps", "nan"],
+    ])
+    def test_option_refused_exit_2(self, tmp_path, capsys, argv):
+        spec = make_transcritical_spec() if argv[0] == "branch-select" \
+            else make_fold_spec()
+        path = tmp_path / "case.map"
+        path.write_text(emit_mapspec(MapSpecFile(spec=spec)))
+        assert execute_command(argv + ["--spec", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[ParseError]: ") and len(err.splitlines()) == 1
+
     def test_field_file_refused(self):
         text = "fieldvars 1\norder 2\n[V 1]\n2 : inf\n"
         with pytest.raises(ParseError, match="line 4"):

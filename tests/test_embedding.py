@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from fastslow.errors import PreconditionError, StructuralError, UnsupportedCaseError
-from fastslow.jets import Jet, JetVector, max_coeff_diff, monomials_of_degree
+from fastslow.jets import (Jet, JetVector, jetvector_compose, max_coeff_diff,
+                           monomials_of_degree)
 from fastslow.embedding import (flow_time1_jet, jordan_chevalley_split,
                                 nilpotent_log, reduced_map_jets,
                                 takens_embed_unipotent, verify_reduced_embedding)
@@ -136,6 +137,32 @@ class TestEmbedding:
             res = takens_embed_unipotent(H, 4)
             assert max_coeff_diff(res.V, V.degree_cap(4)) <= 1e-9
             assert res.residual <= 1e-9
+
+    def test_non_triangular_linear_part(self):
+        # L = P J P^-1 is nilpotent only up to rounding, so the flow's Lie
+        # series never meets an exactly zero term and ends at its term bound
+        J = np.diag([1.0, 1.0], 1)
+        P = np.array([[1.0, 0.4, -0.3], [0.2, 1.0, 0.5], [-0.6, 0.3, 1.0]])
+        L = P @ J @ np.linalg.inv(P)
+        rng = np.random.default_rng(11)
+        comps = []
+        for i in range(3):
+            terms = {tuple(1 if j == s else 0 for j in range(3)): L[i, s]
+                     for s in range(3)}
+            for d in range(2, 5):
+                for alpha in monomials_of_degree(3, d):
+                    if rng.random() < 0.4:
+                        terms[alpha.exponents] = float(rng.uniform(-0.8, 0.8))
+            comps.append(Jet.from_terms(3, 4, terms))
+        V = JetVector(comps, 3, 4)
+        H = flow_time1_jet(V, 4)
+        res = takens_embed_unipotent(H, 4)
+        assert max_coeff_diff(res.V, V) <= 1e-9
+        assert res.residual <= 1e-9
+        # group law: the time-1 map of 2V is the time-1 map of V applied twice
+        twice = jetvector_compose(H, H)
+        gap = max_coeff_diff(flow_time1_jet(V * 2.0, 4), twice)
+        assert gap <= 1e-12 * max(1.0, twice.max_abs())
 
     def test_deterministic_solves(self):
         rng = np.random.default_rng(4)

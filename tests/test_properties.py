@@ -1,12 +1,13 @@
-"""Property tests (hypothesis): embedding round trips and evaluator
-agreement on generated fields."""
+"""Property tests (hypothesis): embedding round trips, the flow's group
+law, shift round trips and evaluator agreement on generated fields."""
 
 import numpy as np
 from hypothesis import given, strategies as st
 
 from fastslow.dynamics import compile_jet_callable
 from fastslow.embedding import flow_time1_jet, takens_embed_unipotent
-from fastslow.jets import Jet, JetVector, max_coeff_diff, monomials_of_degree
+from fastslow.jets import (Jet, JetVector, jet_shift, jetvector_compose,
+                           max_coeff_diff, monomials_of_degree)
 
 COEFF = st.floats(-0.8, 0.8, allow_nan=False, allow_subnormal=False)
 
@@ -50,6 +51,30 @@ def test_embedding_inverts_time1_flow(V):
     res = takens_embed_unipotent(H, V.order)
     assert max_coeff_diff(res.V, V) <= 1e-9
     assert res.residual <= 1e-9
+
+
+@given(nilpotent_fields())
+def test_time1_flow_group_law(V):
+    phi = flow_time1_jet(V, V.order)
+    twice = jetvector_compose(phi, phi)
+    gap = max_coeff_diff(flow_time1_jet(V * 2.0, V.order), twice)
+    assert gap <= 1e-12 * max(1.0, twice.max_abs())
+
+
+@st.composite
+def jets_and_offsets(draw):
+    m = draw(st.integers(1, 3))
+    (jet,) = draw(jet_vectors(m, draw(st.integers(1, 5)), 1))
+    offsets = draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m))
+    return jet, offsets
+
+
+@given(jets_and_offsets())
+def test_shift_round_trip(case):
+    jet, offsets = case
+    shifted = jet_shift(jet, offsets)
+    back = jet_shift(shifted, [-c for c in offsets])
+    assert max_coeff_diff(back, jet) <= 1e-12 * max(1.0, shifted.max_abs())
 
 
 @st.composite
