@@ -29,8 +29,9 @@ import numpy as np
 
 from .errors import (InternalError, PreconditionError, StructuralError,
                      UnsupportedCaseError)
-from .jets import (Jet, JetVector, MultiIndex, jet_matrix_inverse, jet_matrix_mul,
-                   jet_mul, jet_partial, max_coeff_diff, monomials_of_degree)
+from .jets import (Jet, JetVector, MultiIndex, jet_linear_map, jet_matrix_inverse,
+                   jet_matrix_mul, jet_mul, jet_partial, max_coeff_diff,
+                   monomials_of_degree)
 from .model import (FastSlowMapSpec, classify_point, nilpotency_index,
                     reduced_data)
 from .tols import DEFAULT_TOLS, Tolerances
@@ -315,11 +316,7 @@ def takens_embed_unipotent(H: JetVector, order: int,
     L = nilpotent_log(A, tols)  # refuses non-unipotent linear parts
     Lpows = _nilpotent_powers(L, tols.nilp)
 
-    V_comps = [Jet.from_terms(m, H.order,
-                              {tuple(1 if j == s else 0 for j in range(m)): L[i, s]
-                               for s in range(m) if L[i, s] != 0.0})
-               for i in range(m)]
-    V = JetVector(V_comps, m, H.order)
+    V = JetVector(jet_linear_map(L, JetVector.identity(m, H.order)), m, H.order)
 
     depth = len(Lpows)
     levels = _substitution_levels([P / math.factorial(d) for d, P in enumerate(Lpows)])
@@ -356,7 +353,7 @@ def takens_embed_unipotent(H: JetVector, order: int,
 def projection_jets(spec: FastSlowMapSpec) -> list[list[Jet]]:
     """Jets (about the base point) of the oblique projection along the fast
     fibers onto the critical manifold's tangent directions."""
-    n, p, r = spec.n, spec.n - spec.k, spec.order
+    n, p = spec.n, spec.n - spec.k
     Df = spec._df
     M = jet_matrix_mul(Df, spec.N)
     M0 = np.array([[M[i][j].constant_term for j in range(p)] for i in range(p)])
@@ -364,18 +361,10 @@ def projection_jets(spec: FastSlowMapSpec) -> list[list[Jet]]:
         raise PreconditionError(
             "projection jets need an invertible fast-fiber pairing at the base "
             "point (some multiplier equals 1 there)")
-    X = jet_matrix_inverse(M)
-    proj = [[Jet.constant(n, r, 1.0 if i == j else 0.0) for j in range(n)]
-            for i in range(n)]
+    NXDf = jet_matrix_mul(spec.N, jet_matrix_mul(jet_matrix_inverse(M), Df))
     # I - N X Df
-    for i in range(n):
-        for j in range(n):
-            acc = proj[i][j]
-            for a in range(p):
-                for b in range(p):
-                    acc = acc - jet_mul(spec.N[i][a], jet_mul(X[a][b], Df[b][j]))
-            proj[i][j] = acc
-    return proj
+    return [[(1.0 if i == j else 0.0) - NXDf[i][j] for j in range(n)]
+            for i in range(n)]
 
 
 def reduced_map_jets(spec: FastSlowMapSpec) -> JetVector:

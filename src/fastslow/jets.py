@@ -32,6 +32,7 @@ __all__ = [
     "jet_partial",
     "jet_shift",
     "jet_reciprocal",
+    "jet_linear_map",
     "jet_matrix_inverse",
     "max_coeff_diff",
     "monomials_of_degree",
@@ -576,6 +577,28 @@ def jet_matrix_mul(A: Sequence[Sequence[Jet]], B: Sequence[Sequence[Jet]]) -> li
                 acc = acc + jet_mul(A[i][k], B[k][j])
             row.append(acc)
         out.append(row)
+    return out
+
+
+def jet_linear_map(A, jets: Sequence[Jet]) -> list[Jet]:
+    """``A @ jets`` for a numeric matrix ``A``: entry i is the sum over j of
+    ``A[i, j] * jets[j]``.  A vector ``A`` is one row."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    jets = list(jets)
+    if not jets or A.shape[1] != len(jets):
+        raise StructuralError(f"a matrix of shape {A.shape} needs one jet per "
+                              f"column (at least one), got {len(jets)}")
+    num_vars, order = jets[0].num_vars, jets[0].order
+    for jet in jets:
+        jets[0]._check_shape(jet)
+    reliable = min(jet.reliable_order for jet in jets)
+    out = []
+    for row in A:
+        acc: dict[MultiIndex, float] = {}
+        for a, jet in zip(row, jets):
+            for idx, c in jet.coeffs.items():
+                acc[idx] = acc.get(idx, 0.0) + a * c
+        out.append(Jet(num_vars, order, acc, reliable))
     return out
 
 

@@ -20,9 +20,9 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DegenerateCaseError, PreconditionError, StructuralError
-from .jets import (Jet, JetVector, MultiIndex, jet_compose, jet_matrix_inverse,
+from .jets import (Jet, JetVector, MultiIndex, jet_compose, jet_linear_map,
                    jet_matrix_mul, jet_mul, jet_partial, jet_reciprocal,
-                   monomials_of_degree)
+                   jetvector_compose, monomials_of_degree)
 from .model import FastSlowMapSpec, extended_map_jets, nontrivial_multipliers
 from .embedding import (EmbeddingResult, _solve_degree, _substitution_levels,
                         takens_embed_unipotent)
@@ -183,14 +183,15 @@ def _require_standard_2d(spec: FastSlowMapSpec) -> None:
             "column (1, 0)")
 
 
-def _planar_partials_from_spec(spec: FastSlowMapSpec) -> _PlanarPartials:
-    f = spec.f[0]
-    return _PlanarPartials(
-        f0=f.constant_term,
-        fx=f.coefficient((1, 0)), fy=f.coefficient((0, 1)),
-        fxx=2 * f.coefficient((2, 0)), fxy=f.coefficient((1, 1)),
-        fyy=2 * f.coefficient((0, 2)), fxxx=6 * f.coefficient((3, 0)),
-        delta=spec.G[0].constant_term, g0=spec.G[1].constant_term)
+def _planar_partials(f: Jet, delta: float, g0: float) -> _PlanarPartials:
+    """Classifier inputs from a fast jet in (x, y, ...); exponents of any
+    further variables are zero."""
+    def c(*exps: int) -> float:
+        return f.coefficient(exps + (0,) * (f.num_vars - 2))
+
+    return _PlanarPartials(f0=f.constant_term, fx=c(1, 0), fy=c(0, 1),
+                           fxx=2 * c(2, 0), fxy=c(1, 1), fyy=2 * c(0, 2),
+                           fxxx=6 * c(3, 0), delta=delta, g0=g0)
 
 
 def classify_planar_singularity(spec: FastSlowMapSpec) -> PlanarSingularity:
@@ -202,7 +203,8 @@ def classify_planar_singularity(spec: FastSlowMapSpec) -> PlanarSingularity:
     _require_standard_2d(spec)
     if spec.order < 3:
         raise PreconditionError("planar classification needs jets of order >= 3")
-    return _planar_case(_planar_partials_from_spec(spec), spec.tols)
+    return _planar_case(_planar_partials(spec.f[0], spec.G[0].constant_term,
+                                         spec.G[1].constant_term), spec.tols)
 
 
 def threshold_lambda(coeffs: NormalFormCoefficients) -> float:
@@ -278,17 +280,6 @@ class Embed2DResult:
     g0_slow: float
 
 
-def _planar_partials_from_field(V: JetVector) -> _PlanarPartials:
-    """Read the classifier inputs off an embedded planar field in (x, y, eps)."""
-    v1, v2 = V[0], V[1]
-    return _PlanarPartials(
-        f0=v1.constant_term,
-        fx=v1.coefficient((1, 0, 0)), fy=v1.coefficient((0, 1, 0)),
-        fxx=2 * v1.coefficient((2, 0, 0)), fxy=v1.coefficient((1, 1, 0)),
-        fyy=2 * v1.coefficient((0, 2, 0)), fxxx=6 * v1.coefficient((3, 0, 0)),
-        delta=v1.coefficient((0, 0, 1)), g0=v2.coefficient((0, 0, 1)))
-
-
 def embed_2d(spec: FastSlowMapSpec, order: int | None = None,
              tols: Tolerances | None = None) -> Embed2DResult:
     """Embed a planar standard-form map near its singular base point and
@@ -323,7 +314,8 @@ def embed_2d(spec: FastSlowMapSpec, order: int | None = None,
                                            match_degree=order)
     K0 = K.constant_term
 
-    out = _planar_case(_planar_partials_from_field(V), tols)
+    out = _planar_case(_planar_partials(V[0], V[0].coefficient((0, 0, 1)),
+                                        V[1].coefficient((0, 0, 1))), tols)
     if factor_residual > tols.structure:
         raise StructuralError(
             f"embedded field does not factor through the fast equation: "
@@ -481,12 +473,17 @@ class ContactNormalForm:
 
 
 def _newton_rectify(spec: FastSlowMapSpec) -> tuple[JetVector, float]:
-    """Solve f(x, K(x, v)) = v for K by Newton iteration on jets."""
+    """Solve f(x, K(x, v)) = v for K by the chord iteration
+    K <- K - D_y f(0)^-1 (f(x, K) - v), starting from K = 0.
+
+    The error e = K - K* obeys e <- D_y f(0)^-1 (D_y f(0) - D_y f(x, K*)) e
+    + O(e^2).  Since x and K* have no constant term, the bracket has none
+    either, so each step raises the lowest degree of e by one: ``order``
+    steps make K exact on the jets."""
     n, k, r = spec.n, spec.k, spec.order
     p = n - k
     m = n + 1  # (x, v, eps)
-    Df0 = spec.Df_at(spec.base_point)
-    Dy = Df0[:, k:]
+    Dy = spec.Df_at(spec.base_point)[:, k:]
     cond = np.linalg.cond(Dy)
     if not np.isfinite(cond) or cond > spec.tols.cond_cap:
         raise PreconditionError(
@@ -494,46 +491,28 @@ def _newton_rectify(spec: FastSlowMapSpec) -> tuple[JetVector, float]:
             "(D_y f singular at the base point); permute the variables so the "
             "critical manifold is a graph over the first k coordinates")
     Dy_inv = np.linalg.inv(Dy)
-    Dx = Df0[:, :k]
 
     x_jets = [Jet.variable(m, r, i) for i in range(k)]
-    v_jets = [Jet.variable(m, r, k + j) for j in range(p)]
-    DyiDx = Dy_inv @ Dx
-    K = []
-    for j in range(p):
-        acc = Jet.zero(m, r)
-        for b in range(p):
-            acc = acc + v_jets[b] * Dy_inv[j, b]
-        for a in range(k):
-            acc = acc - x_jets[a] * DyiDx[j, a]
-        K.append(acc)
-
-    resid = math.inf
-    for _ in range(max(2, math.ceil(math.log2(r + 1)) + 2)):
-        inner = JetVector(x_jets + K, m, r)
-        fK = [jet_compose(spec.f[i], inner) for i in range(p)]
-        target = [fK[i] - v_jets[i] for i in range(p)]
-        resid = max(t.max_abs() for t in target)
-        if resid == 0.0:
+    v_jets = JetVector([Jet.variable(m, r, k + j) for j in range(p)], m, r)
+    K = JetVector.zeros(p, m, r)
+    for step in range(r + 1):
+        target = jetvector_compose(spec.f, x_jets + list(K)) - v_jets
+        resid = target.max_abs()
+        if resid == 0.0 or step == r:
             break
-        Dyf = [[jet_compose(spec._df[i][k + j], inner) for j in range(p)]
-               for i in range(p)]
-        X = jet_matrix_inverse(Dyf)
-        K = [K[j] - sum((jet_mul(X[j][i], target[i]) for i in range(1, p)),
-                        jet_mul(X[j][0], target[0]))
-             for j in range(p)]
-    inner = JetVector(x_jets + K, m, r)
-    fK = [jet_compose(spec.f[i], inner) for i in range(p)]
-    resid = max((fK[i] - v_jets[i]).max_abs() for i in range(p))
-    return JetVector(K, m, r), resid
+        K = K - JetVector(jet_linear_map(Dy_inv, target), m, r)
+    return K, resid
 
 
 def cm_normal_form_transform(spec: FastSlowMapSpec,
                              tols: Tolerances | None = None) -> ContactNormalForm:
     """Conjugate the map into coordinates adapted to a regular contact point:
-    first rectify the critical manifold to {v = 0} with the jet inverse of
-    the fast equations, then split v into the critical direction u and its
-    complement w with the contact frame."""
+    rectify the critical manifold to {v = 0} with the jet inverse K of the
+    fast equations, and split v into the critical direction u and its
+    complement w with the contact frame.
+
+    The chart is z = (x, K(x, r u + P w, eps)); the map in it is
+    (x, l v, Q v) of z-hat = H(z, eps) with v = f(z-hat)."""
     tols = tols or spec.tols
     for comp in spec.f:
         if comp.constant_term != 0.0:
@@ -555,39 +534,17 @@ def cm_normal_form_transform(spec: FastSlowMapSpec,
 
     K, rect_resid = _newton_rectify(spec)
 
-    # the full map in the rectified chart
-    Hmap = extended_map_jets(spec)
-    inner1 = JetVector([Jet.variable(m, r, i) for i in range(k)]
-                       + list(K) + [Jet.variable(m, r, n)], m, r)
-    zbar = [jet_compose(Hmap[i], inner1) for i in range(n)]
-    xbar = zbar[:k]
-    vbar = [jet_compose(spec.f[i], JetVector(zbar, m, r)) for i in range(p)]
-
-    # linear (u, w) split of the v block
-    l, rvec, Q, P = frame.l, frame.r, frame.Q, frame.P
-    sub = []
-    for i in range(k):
-        sub.append(Jet.variable(m, r, i))
-    u_jet = Jet.variable(m, r, k)
-    w_jets = [Jet.variable(m, r, k + 1 + j) for j in range(p - 1)]
-    for j in range(p):
-        acc = u_jet * float(rvec[j])
-        for mm in range(p - 1):
-            acc = acc + w_jets[mm] * float(P[j, mm])
-        sub.append(acc)
-    sub.append(Jet.variable(m, r, n))
-    inner2 = JetVector(sub, m, r)
-
-    hat_x = [jet_compose(c, inner2) for c in xbar]
-    hat_v = [jet_compose(c, inner2) for c in vbar]
-    hat_u = sum((hat_v[j] * float(l[j]) for j in range(1, p)), hat_v[0] * float(l[0]))
-    hat_w = []
-    for mm in range(p - 1):
-        acc = hat_v[0] * float(Q[mm, 0])
-        for j in range(1, p):
-            acc = acc + hat_v[j] * float(Q[mm, j])
-        hat_w.append(acc)
-    hat_map = JetVector(hat_x + [hat_u] + hat_w, m, r)
+    # linear chart (x, u, w, eps) -> (x, r u + P w, eps)
+    C = np.eye(m)
+    C[k:n, k:n] = np.column_stack([frame.r, frame.P])
+    ident = JetVector.identity(m, r)
+    chart = jet_linear_map(C, ident)
+    z_chart = JetVector(list(ident[:k]) + [jet_compose(c, chart) for c in K], m, r)
+    inner = JetVector(list(z_chart) + [ident[n]], m, r)
+    z_hat = [jet_compose(c, inner) for c in extended_map_jets(spec)[:n]]
+    v_hat = jetvector_compose(spec.f, z_hat)
+    hat_map = JetVector(z_hat[:k] + jet_linear_map(np.vstack([frame.l, frame.Q]), v_hat),
+                        m, r)
 
     # the critical manifold is the pure-x subspace: it must stay fixed
     pure_x = 0.0
@@ -605,13 +562,10 @@ def cm_normal_form_transform(spec: FastSlowMapSpec,
     jac_res = float(np.max(np.abs(hm[k, :n] - np.eye(n)[k])))
     if p > 1:
         jac_res = max(jac_res, float(np.max(np.abs(hm[k + 1:n, :k + 1]))))
-        expected_w = np.eye(p - 1) + Q @ DfN0 @ P
+        expected_w = np.eye(p - 1) + frame.Q @ DfN0 @ frame.P
         jac_res = max(jac_res, float(np.max(np.abs(hm[k + 1:n, k + 1:n] - expected_w))))
-    Nx_r = (spec.N_at(spec.base_point) @ rvec)[:k]
+    Nx_r = (spec.N_at(spec.base_point) @ frame.r)[:k]
     jac_res = max(jac_res, float(np.max(np.abs(hm[:k, k] - Nx_r))))
-
-    z_chart = JetVector([Jet.variable(m, r, i) for i in range(k)]
-                        + [jet_compose(c, inner2) for c in K], m, r)
 
     return ContactNormalForm(spec=spec, frame=frame, n=n, k=k, order=r,
                              hat_map=hat_map, K=K, z_chart=z_chart,
@@ -683,65 +637,48 @@ def center_manifold_restricted_map(nf: ContactNormalForm,
     if order > r:
         raise StructuralError(f"order {order} exceeds the jet order {r}")
     mred = k + 2  # (x, u, eps)
-    mhat = n + 1  # (x, u, w, eps)
 
     x_red = [Jet.variable(mred, r, i) for i in range(k)]
     u_red = Jet.variable(mred, r, k)
     eps_red = Jet.variable(mred, r, k + 1)
 
+    def on_graph(W: JetVector) -> tuple[JetVector, JetVector]:
+        """The (x, u) block of the chart map on the graph w = W, and the
+        graph defect W(x, u block, eps) - (w block)."""
+        image = jetvector_compose(nf.hat_map,
+                                  x_red + [u_red] + list(W) + [eps_red])
+        ret_xu = JetVector(image[:k + 1], mred, r)
+        lhs = JetVector(image[k + 1:], mred, r)
+        return ret_xu, jetvector_compose(W, list(ret_xu) + [eps_red]) - lhs
+
     hm = nf.hat_map.linear_matrix()  # n x (n+1)
-    if p > 1:
-        btilde = hm[k + 1:n, k + 1:n]
-        lam_w = np.linalg.eigvals(btilde)
-        if np.any(np.abs(np.abs(lam_w) - 1.0) <= tols.unit):
+    btilde = hm[k + 1:n, k + 1:n]
+    lam_w = np.linalg.eigvals(btilde)
+    if np.any(np.abs(np.abs(lam_w) - 1.0) <= tols.unit):
+        raise PreconditionError(
+            "framed fast block has a multiplier on the unit circle "
+            f"({np.round(lam_w, 12)}); the graph solve is singular")
+    # linear part of the (x, u, eps) return map, w columns dropped
+    M = np.zeros((mred, mred))
+    M[:k + 1, :k + 1] = hm[:k + 1, :k + 1]
+    M[:k + 1, k + 1] = hm[:k + 1, n]
+    M[k + 1, k + 1] = 1.0
+
+    W = JetVector.zeros(p - 1, mred, r)
+    levels = _substitution_levels([M])
+    for d in range(1, order + 1):
+        _, defect = on_graph(W)
+        basis, Q = next(levels)
+        D = len(basis)
+        T = np.kron(btilde, np.eye(D)) - np.kron(np.eye(p - 1), Q[0])
+        try:
+            W = W + _solve_degree(T, defect.degree_part(d), basis)
+        except np.linalg.LinAlgError as exc:
             raise PreconditionError(
-                "framed fast block has a multiplier on the unit circle "
-                f"({np.round(lam_w, 12)}); the graph solve is singular")
-        # linear part of the (x, u, eps) return map, w columns dropped
-        M = np.zeros((mred, mred))
-        M[:k + 1, :k] = hm[:k + 1, :k]
-        M[:k + 1, k] = hm[:k + 1, k]
-        M[:k + 1, k + 1] = hm[:k + 1, n]
-        M[k + 1, k + 1] = 1.0
-
-        W = JetVector.zeros(p - 1, mred, r)
-        levels = _substitution_levels([M])
-        for d in range(1, order + 1):
-            inner_red = JetVector(x_red + [u_red] + list(W) + [eps_red], mred, r)
-            lhs = [jet_compose(nf.hat_map[k + 1 + mm], inner_red)
-                   for mm in range(p - 1)]
-            ret_xu = [jet_compose(nf.hat_map[i], inner_red) for i in range(k + 1)]
-            inner_W = JetVector(ret_xu + [eps_red], mred, r)
-            rhs = [jet_compose(W[mm], inner_W) for mm in range(p - 1)]
-            defect = JetVector([(rhs[mm] - lhs[mm]).degree_part(d)
-                                for mm in range(p - 1)], mred, r)
-
-            basis, Q = next(levels)
-            D = len(basis)
-            T = np.kron(btilde, np.eye(D)) - np.kron(np.eye(p - 1), Q[0])
-            try:
-                W_d = _solve_degree(T, defect, basis)
-            except np.linalg.LinAlgError as exc:
-                raise PreconditionError(
-                    f"graph solve singular at degree {d}: offending "
-                    f"eigenvalues {np.round(np.linalg.eigvals(btilde), 12)}"
-                ) from exc
-            W = W + W_d
-
-        inner_red = JetVector(x_red + [u_red] + list(W) + [eps_red], mred, r)
-        lhs = [jet_compose(nf.hat_map[k + 1 + mm], inner_red) for mm in range(p - 1)]
-        ret_xu = [jet_compose(nf.hat_map[i], inner_red) for i in range(k + 1)]
-        inner_W = JetVector(ret_xu + [eps_red], mred, r)
-        rhs = [jet_compose(W[mm], inner_W) for mm in range(p - 1)]
-        residual = max(((lhs[mm] - rhs[mm]).degree_cap(order).max_abs()
-                        for mm in range(p - 1)), default=0.0)
-    else:
-        W = JetVector([], mred, r)
-        inner_red = JetVector(x_red + [u_red] + [eps_red], mred, r)
-        ret_xu = [jet_compose(nf.hat_map[i], inner_red) for i in range(k + 1)]
-        residual = 0.0
-
-    restricted = JetVector(ret_xu, mred, r)
+                f"graph solve singular at degree {d}: offending "
+                f"eigenvalues {np.round(lam_w, 12)}") from exc
+    restricted, defect = on_graph(W)
+    residual = defect.degree_cap(order).max_abs()
 
     # graph factorization W = u W0 + eps W_rem at eps = 0
     eps_var = k + 1
@@ -750,39 +687,20 @@ def center_manifold_restricted_map(nf: ContactNormalForm,
                         for c in W], mred, r)
     W0 = JetVector([c.div_var(k) for c in W_eps0], mred, r)
 
-    # closed-form factor along the graph (original data composed with the chart)
-    inner_chart = JetVector(x_red + [u_red] + list(W_eps0) + [eps_red], mred, r)
-    z_cm = [jet_compose(c, inner_chart) for c in nf.z_chart]
-    rPW0 = []
-    for j in range(p):
-        acc = Jet.constant(mred, r, float(frame.r[j]))
-        for mm in range(p - 1):
-            acc = acc + W0[mm] * float(frame.P[j, mm])
-        rPW0.append(acc)
-    N_cm = [[jet_compose(spec.N[i][j], JetVector(z_cm, mred, r))
-             for j in range(p)] for i in range(k)]
+    # closed-form factor along the graph (original data composed with the
+    # chart): rows N^x and l Df N, contracted with the tilted null direction
+    # r + P W0
+    z_cm = jetvector_compose(nf.z_chart, x_red + [u_red] + list(W_eps0) + [eps_red])
     DfN_jets = jet_matrix_mul(spec._df, spec.N)
-    lDfN_cm = []
-    for b in range(p):
-        acc = Jet.zero(n, r)
-        for a in range(p):
-            acc = acc + DfN_jets[a][b] * float(frame.l[a])
-        lDfN_cm.append(jet_compose(acc, JetVector(z_cm, mred, r)))
-    Ntilde = []
-    for i in range(k):
-        acc = jet_mul(N_cm[i][0], rPW0[0])
-        for j in range(1, p):
-            acc = acc + jet_mul(N_cm[i][j], rPW0[j])
-        Ntilde.append(acc)
-    acc = jet_mul(lDfN_cm[0], rPW0[0])
-    for j in range(1, p):
-        acc = acc + jet_mul(lDfN_cm[j], rPW0[j])
-    Ntilde.append(acc)
-    Ntilde = JetVector(Ntilde, mred, r)
+    lDfN = [jet_linear_map(frame.l, col)[0] for col in zip(*DfN_jets)]
+    factor = [[jet_compose(c, z_cm) for c in row] for row in list(spec.N[:k]) + [lDfN]]
+    rPW0 = jet_linear_map(np.column_stack([frame.r, frame.P]),
+                          [Jet.constant(mred, r, 1.0)] + list(W0))
+    Ntilde = JetVector([row[0] for row in jet_matrix_mul(factor, [[c] for c in rPW0])],
+                       mred, r)
 
     # layer part and eps part of the restricted map (the eps split is exact)
-    ident = [Jet.variable(mred, r, i) for i in range(k)] + [u_red]
-    displ = [restricted[i] - ident[i] for i in range(k + 1)]
+    displ = restricted - JetVector(x_red + [u_red], mred, r)
     layer = [_split_var_divisible(c.subs_zero(eps_var), k, tols.structure,
                                   "restricted layer map") for c in displ]
     G_tilde = JetVector([(c - c.subs_zero(eps_var)).div_var(eps_var)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, StructuralError
 from .jets import Jet, JetVector
 from .model import FastSlowMapSpec
 from .tols import DEFAULT_TOLS, Tolerances
@@ -47,7 +47,7 @@ class MapSpecFile:
     declared_case: str = ""
 
 
-def _parse_terms(lines: list[tuple[int, str]], arity: int,
+def _parse_terms(lines: list[tuple[int, str]], arity: int, order: int,
                  section: str) -> dict[tuple[int, ...], float]:
     terms: dict[tuple[int, ...], float] = {}
     for lineno, text in lines:
@@ -65,6 +65,9 @@ def _parse_terms(lines: list[tuple[int, str]], arity: int,
                 f"{section} needs {arity} exponents, got {len(exps)}", lineno)
         if any(e < 0 for e in exps):
             raise ParseError(f"negative exponent in {section}", lineno)
+        if sum(exps) > order:
+            raise ParseError(f"term of degree {sum(exps)} exceeds order {order} "
+                             f"in {section}", lineno)
         try:
             coeff = float(coeff_text.strip())
         except ValueError:
@@ -141,38 +144,27 @@ def parse_mapspec(text: str, tols: Tolerances = DEFAULT_TOLS) -> MapSpecFile:
     if not np.all(np.isfinite(base)):
         raise ParseError(f"non-finite base coordinates {toks}", lineno)
 
-    p = n - k
-    N_rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, p + 1):
-            name = f"N {i} {j}"
-            if name not in sections:
-                raise ParseError(f"missing section N {i} {j}")
-            row.append(Jet.from_terms(n, order,
-                                      _parse_terms(sections.pop(name), n, f"[{name}]")))
-        N_rows.append(tuple(row))
-    f_comps = []
-    for i in range(1, p + 1):
-        name = f"f {i}"
+    def section(name: str, arity: int) -> Jet:
         if name not in sections:
-            raise ParseError(f"missing section f {i}")
-        f_comps.append(Jet.from_terms(n, order,
-                                      _parse_terms(sections.pop(name), n, f"[{name}]")))
-    G_comps = []
-    for i in range(1, n + 1):
-        name = f"G {i}"
-        if name not in sections:
-            raise ParseError(f"missing section G {i}")
-        G_comps.append(Jet.from_terms(n + 1, order,
-                                      _parse_terms(sections.pop(name), n + 1, f"[{name}]")))
-    if sections:
-        raise ParseError(f"unknown section [{next(iter(sections))}]")
+            raise ParseError(f"missing section {name}")
+        return Jet.from_terms(arity, order, _parse_terms(sections.pop(name), arity,
+                                                         order, f"[{name}]"))
 
-    spec = FastSlowMapSpec(n=n, k=k, order=order, N=tuple(N_rows),
-                           f=JetVector(f_comps, n, order),
-                           G=JetVector(G_comps, n + 1, order),
-                           base_point=base, tols=tols)
+    p = n - k
+    # shape errors of the jets and the spec (dims, order) are input errors
+    try:
+        N_rows = [tuple(section(f"N {i} {j}", n) for j in range(1, p + 1))
+                  for i in range(1, n + 1)]
+        f_comps = [section(f"f {i}", n) for i in range(1, p + 1)]
+        G_comps = [section(f"G {i}", n + 1) for i in range(1, n + 1)]
+        if sections:
+            raise ParseError(f"unknown section [{next(iter(sections))}]")
+        spec = FastSlowMapSpec(n=n, k=k, order=order, N=tuple(N_rows),
+                               f=JetVector(f_comps, n, order),
+                               G=JetVector(G_comps, n + 1, order),
+                               base_point=base, tols=tols)
+    except StructuralError as exc:
+        raise ParseError(str(exc)) from None
     return MapSpecFile(spec=spec, name=meta["name"],
                        description=meta["description"],
                        declared_case=meta["case"])
@@ -222,34 +214,46 @@ def parse_jetvector(text: str) -> JetVector:
             toks = line[1:-1].split()
             if len(toks) != 2 or toks[0] != "V" or not line.endswith("]"):
                 raise ParseError(f"bad field section header {line!r}", lineno)
-            current = int(toks[1])
+            try:
+                current = int(toks[1])
+            except ValueError:
+                raise ParseError(f"bad field section header {line!r}", lineno) from None
+            if current < 1:
+                raise ParseError(f"field components are numbered from 1, got {current}",
+                                 lineno)
             if current in sections:
                 raise ParseError(f"duplicate section [V {current}]", lineno)
             sections[current] = []
             continue
         first = line.split()[0]
         if first in ("fieldvars", "order"):
+            if first in headers:
+                raise ParseError(f"duplicate {first} line", lineno)
             headers[first] = (lineno, line)
             current = None
             continue
         if current is None:
             raise ParseError(f"unexpected line {line!r}", lineno)
         sections[current].append((lineno, line))
+    sizes = {}
     for key in ("fieldvars", "order"):
         if key not in headers:
             raise ParseError(f"missing {key} line")
-    try:
-        m = int(headers["fieldvars"][1].split()[1])
-        order = int(headers["order"][1].split()[1])
-    except (IndexError, ValueError):
-        raise ParseError("bad fieldvars/order header") from None
+        lineno, line = headers[key]
+        try:
+            sizes[key] = int(line.split()[1])
+        except (IndexError, ValueError):
+            raise ParseError(f"{key} needs one integer", lineno) from None
+        if sizes[key] < 1:
+            raise ParseError(f"{key} must be >= 1, got {sizes[key]}", lineno)
+    m, order = sizes["fieldvars"], sizes["order"]
     ncomp = max(sections) if sections else 0
     comps = []
     for i in range(1, ncomp + 1):
         if i not in sections:
             raise ParseError(f"missing section V {i}")
         comps.append(Jet.from_terms(m, order,
-                                    _parse_terms(sections[i], m, f"[V {i}]")))
+                                    _parse_terms(sections[i], m, order, f"[V {i}]")))
     return JetVector(comps, m, order)
 
 

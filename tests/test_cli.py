@@ -254,6 +254,7 @@ class TestNonFiniteInput:
         ("2 0 : 1", "2 0 : nan", 9),
         ("0 0 0 : -1", "0 0 0 : -inf", 14),
         ("base 0 0", "base 0 nan", 3),
+        ("2 0 : 1", "5 0 : 1", 9),
     ])
     def test_spec_value_refused_exit_2(self, tmp_path, capsys, old, new, line):
         path = tmp_path / "bad.map"
@@ -289,4 +290,31 @@ class TestNonFiniteInput:
     def test_field_file_refused(self):
         text = "fieldvars 1\norder 2\n[V 1]\n2 : inf\n"
         with pytest.raises(ParseError, match="line 4"):
+            parse_jetvector(text)
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("order", ["order 2", "order 0"])
+    def test_spec_order_refused_exit_2(self, tmp_path, capsys, order):
+        path = tmp_path / "bad.map"
+        path.write_text(FOLD_TEXT.replace("order 4", order))
+        assert execute_command(["classify", "--spec", str(path),
+                                "--point", "0,0"]) == 2
+        err = capsys.readouterr().err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error[ParseError]: ")
+        assert "order" in lines[0]
+
+    @pytest.mark.parametrize("text,line", [
+        ("fieldvars 1\norder 2\n[V x]\n1 : 1\n", 3),
+        ("fieldvars 1\norder 2\n[V 0]\n1 : 1\n", 3),
+        ("fieldvars 0\norder 2\n", 1),
+        ("fieldvars 1\norder 0\n", 2),
+        ("fieldvars 1\norder 2\n[V 1]\n3 : 1\n", 4),
+        ("fieldvars 1\norder 2\nfieldvars 2\n[V 1]\n1 : 1\n", 3),
+        ("fieldvars 1\norder 2\norder 3\n[V 1]\n1 : 1\n", 3),
+    ], ids=["index-not-int", "index-0", "fieldvars-0", "order-0",
+            "term-above-order", "duplicate-fieldvars", "duplicate-order"])
+    def test_field_file_malformed(self, text, line):
+        with pytest.raises(ParseError, match=f"line {line}"):
             parse_jetvector(text)

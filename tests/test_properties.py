@@ -1,13 +1,20 @@
 """Property tests (hypothesis): embedding round trips, the flow's group
-law, shift round trips and evaluator agreement on generated fields."""
+law, shift round trips, evaluator agreement, composition associativity,
+linear maps of jets and spec-file round trips on generated inputs; and the
+contact chart against its two-stage construction."""
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from fastslow.dynamics import compile_jet_callable
 from fastslow.embedding import flow_time1_jet, takens_embed_unipotent
-from fastslow.jets import (Jet, JetVector, jet_shift, jetvector_compose,
-                           max_coeff_diff, monomials_of_degree)
+from fastslow.jets import (Jet, JetVector, jet_compose, jet_linear_map, jet_shift,
+                           jetvector_compose, max_coeff_diff, monomials_of_degree)
+from fastslow.model import FastSlowMapSpec, extended_map_jets
+from fastslow.singularities import _newton_rectify, cm_normal_form_transform
+from fastslow.specfiles import emit_mapspec, parse_mapspec
+from conftest import make_contact3d_spec, make_fold_spec
 
 COEFF = st.floats(-0.8, 0.8, allow_nan=False, allow_subnormal=False)
 
@@ -92,3 +99,122 @@ def test_compiled_evaluator_matches_jetvector(case):
     direct = V.evaluate(point)
     assert compiled.tobytes() == direct.tobytes()
     assert direct.tobytes() == np.array([c.evaluate(point) for c in V]).tobytes()
+
+
+@st.composite
+def compose_chains(draw):
+    """f in a variables, g: a components in b variables, h: b components
+    in c variables, with a, b, c three different arities; g and h have no
+    constant term."""
+    a, b, c = draw(st.permutations([1, 2, 3]))
+    order = draw(st.integers(1, 4))
+    (f,) = draw(jet_vectors(a, order, 1))
+    g = draw(jet_vectors(b, order, a, min_degree=1))
+    h = draw(jet_vectors(c, order, b, min_degree=1))
+    return f, g, h
+
+
+@given(compose_chains())
+def test_composition_associative_across_arities(chain):
+    f, g, h = chain
+    left = jet_compose(jet_compose(f, g), h)
+    right = jet_compose(f, jetvector_compose(g, h))
+    assert left.num_vars == right.num_vars == h.num_vars
+    assert max_coeff_diff(left, right) <= 1e-12 * max(1.0, left.max_abs())
+
+
+@st.composite
+def matrices_and_jets(draw):
+    m = draw(st.integers(1, 3))
+    q = draw(st.integers(1, 3))
+    jets = draw(jet_vectors(m, draw(st.integers(1, 4)), q))
+    rows = draw(st.integers(1, 3))
+    A = np.array(draw(st.lists(st.lists(COEFF, min_size=q, max_size=q),
+                               min_size=rows, max_size=rows)))
+    return A, jets
+
+
+@given(matrices_and_jets())
+def test_jet_linear_map_is_the_explicit_sum(case):
+    A, jets = case
+    got = jet_linear_map(A, jets)
+    assert len(got) == A.shape[0]
+    for i, jet in enumerate(got):
+        expected = sum((jets[j] * A[i, j] for j in range(len(jets))),
+                       Jet.zero(jets.num_vars, jets.order))
+        assert jet.coeffs == expected.coeffs
+
+
+def _two_stage_hat_map(spec):
+    """The chart map composed in two stages: the map in the rectified
+    chart (x, v, eps), then the linear (u, w) split of v."""
+    nf = cm_normal_form_transform(spec)
+    n, k, r, frame = spec.n, spec.k, spec.order, nf.frame
+    p, m = n - k, n + 1
+    K, _ = _newton_rectify(spec)
+    var = [Jet.variable(m, r, i) for i in range(m)]
+    inner1 = JetVector(var[:k] + list(K) + [var[n]], m, r)
+    zbar = jetvector_compose(JetVector(extended_map_jets(spec)[:n], m, r), inner1)
+    vbar = jetvector_compose(spec.f, zbar)
+    split = [sum((var[k + 1 + j] * frame.P[i, j] for j in range(p - 1)),
+                 var[k] * frame.r[i]) for i in range(p)]
+    inner2 = JetVector(var[:k] + split + [var[n]], m, r)
+    hat_x = jetvector_compose(JetVector(zbar[:k], m, r), inner2)
+    hat_v = jetvector_compose(vbar, inner2)
+    rows = [frame.l] + list(frame.Q)
+    hat_uw = [sum((hat_v[j] * row[j] for j in range(1, p)), hat_v[0] * row[0])
+              for row in rows]
+    return nf.hat_map, JetVector(list(hat_x) + hat_uw, m, r)
+
+
+@pytest.mark.parametrize("make_spec", [make_contact3d_spec, make_fold_spec])
+def test_chart_map_equals_two_stage_composition(make_spec):
+    one_stage, two_stage = _two_stage_hat_map(make_spec())
+    assert max_coeff_diff(one_stage, two_stage) <= 1e-13 * one_stage.max_abs()
+
+
+VALUE = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+def sparse_terms(num_vars, order):
+    """A few terms of any degree up to the order."""
+    keys = [a.exponents for d in range(order + 1)
+            for a in monomials_of_degree(num_vars, d)]
+    return st.dictionaries(st.sampled_from(keys), VALUE, max_size=5)
+
+
+@st.composite
+def map_specs(draw):
+    """Random specs; the constant term of N[j][j] is at least 1e4 in size,
+    so the top block of N(0) is diagonally dominant and N has full column
+    rank."""
+    n = draw(st.integers(2, 3))
+    k = draw(st.integers(1, n - 1))
+    order = draw(st.integers(3, 5))
+
+    def jet(num_vars, constant=None):
+        terms = draw(sparse_terms(num_vars, order))
+        if constant is not None:
+            terms[(0,) * num_vars] = constant
+        return Jet.from_terms(num_vars, order, terms)
+
+    def pivot():
+        return draw(st.floats(1e4, 1e5)) * draw(st.sampled_from([-1.0, 1.0]))
+
+    N = tuple(tuple(jet(n, pivot() if i == j else None) for j in range(n - k))
+              for i in range(n))
+    f = JetVector([jet(n) for _ in range(n - k)], n, order)
+    G = JetVector([jet(n + 1) for _ in range(n)], n + 1, order)
+    base = draw(st.lists(VALUE, min_size=n, max_size=n))
+    return FastSlowMapSpec(n=n, k=k, order=order, N=N, f=f, G=G,
+                           base_point=np.array(base))
+
+
+@given(map_specs())
+def test_parse_emit_round_trip(spec):
+    again = parse_mapspec(emit_mapspec(spec)).spec
+    assert (again.n, again.k, again.order) == (spec.n, spec.k, spec.order)
+    assert again.N == spec.N
+    assert again.f == spec.f
+    assert again.G == spec.G
+    assert again.base_point.tobytes() == spec.base_point.tobytes()
