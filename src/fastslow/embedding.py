@@ -4,16 +4,24 @@ Two directions:
 
 * :func:`flow_time1_jet` computes the jet of the time-1 map of a polynomial
   vector field V with nilpotent linear part as the Lie series exp(D_V) x,
-  where D_V g = sum_j V_j dg/dx_j.  Because the linear part is nilpotent,
-  the truncated series is finite and exact.
+  where D_V g = sum_j V_j dg/dx_j.  On the basis of the constant-free
+  monomials of degree 1..order in graded-lex order, D_V is a sparse
+  D x D matrix, D = C(m + order, m) - 1, built by one scatter from the
+  coefficients of V.  It never lowers a degree, so it is block
+  lower-triangular by degree and its leading block on degrees 1..l is the
+  operator of the order-l truncation.  Because the linear part is
+  nilpotent, the series is finite and exact; its term bound is derived in
+  :func:`_time1`.
 
 * :func:`takens_embed_unipotent` inverts that computation: given a map jet
   whose linear part is unipotent, it solves degree by degree for the unique
   vector field whose time-1 map matches the given jet.  At each degree the
   unknown homogeneous part enters through an invertible linear operator on
   the coefficient space, which is materialized as a dense matrix on the
-  monomial basis and solved directly; the known part is the same Lie
-  series, summed for the field found so far.
+  monomial basis and solved directly; the known part is the same series on
+  the leading block of degrees 1..l, for the field found so far.
+
+Both refuse a non-finite coefficient with :class:`PreconditionError`.
 
 :func:`jordan_chevalley_split` is a diagnostic that separates a general
 linear part into commuting semisimple and nilpotent factors; maps whose
@@ -29,9 +37,9 @@ import numpy as np
 
 from .errors import (InternalError, PreconditionError, StructuralError,
                      UnsupportedCaseError)
-from .jets import (Jet, JetVector, MultiIndex, jet_linear_map, jet_matrix_inverse,
-                   jet_matrix_mul, jet_mul, jet_partial, max_coeff_diff,
-                   monomials_of_degree)
+from .jets import (Jet, JetVector, MultiIndex, _GradedTable, _derivation,
+                   _graded_coeffs, _graded_jets, _graded_table, jet_matrix_inverse,
+                   jet_matrix_mul, jet_mul, monomials_of_degree)
 from .model import (FastSlowMapSpec, classify_point, nilpotency_index,
                     reduced_data)
 from .tols import DEFAULT_TOLS, Tolerances
@@ -182,52 +190,62 @@ def _nilpotent_powers(L: np.ndarray, tol: float) -> list[np.ndarray]:
     return out
 
 
-def _time1(V: JetVector, order: int, depth: int) -> JetVector:
-    """Jet of the time-1 map of ``V``, truncated at degree ``order``: the Lie
-    series exp(D_V) x with D_V g = sum_j V_j dg/dx_j.
+def _time1(V: np.ndarray, table: _GradedTable, degree: int, depth: int) -> np.ndarray:
+    """Time-1 map of the field ``V`` (an (m, D) array on the graded basis of
+    ``table``), truncated at ``degree``: the Lie series exp(D_V) x with
+    D_V g = sum_j V_j dg/dx_j, as (m, n) coefficients on the n monomials of
+    degree 1..``degree``.
 
-    Requires V(0) = 0, so D_V never lowers a degree and truncating before
-    each application loses nothing: the truncated sum is exact.  The series
-    is finite.  ``depth`` is the nilpotency index of the linear part L
-    (L^depth = 0), so on degree-d jets the linear part of D_V is nilpotent
-    of index at most d(depth - 1) + 1, while the nonlinear part raises the
-    degree.
-    A nonzero term of degree at most ``order`` therefore comes from at most
-    order - 1 raising steps and d(depth - 1) linear steps at each degree
-    d = 1..order, which bounds the number of terms by
-    (order - 1) + (depth - 1) order (order + 1) / 2.  The loop stops there,
-    or earlier on an exactly zero term.
-
-    Storage order and reliable order of the result are those of ``V``."""
-    m = V.num_vars
-    field = [c.truncated(order) for c in V]
-    term = JetVector.identity(m, order)
-    total = term
-    for k in range(1, order + (depth - 1) * order * (order + 1) // 2):
-        comps = []
-        for g in term:
-            acc = Jet.zero(m, order)
-            for j, v in enumerate(field):
-                acc = acc + jet_mul(v, jet_partial(g, j))
-            comps.append(acc * (1.0 / k))
-        term = JetVector(comps, m, order)
-        if term.max_abs() == 0.0:
+    Requires V(0) = 0, so D_V never lowers a degree: on the graded basis it
+    is block lower-triangular by degree, and its leading n x n block is the
+    operator of the order-``degree`` truncation, exactly.  The series runs
+    X <- D_V X / k on that block from the columns of x_1..x_m and is finite.
+    ``depth`` is the nilpotency index of the linear part L (L^depth = 0), so
+    the diagonal block of D_V on degree d is nilpotent of index at most
+    d(depth - 1) + 1, while the blocks below the diagonal raise the degree.
+    A nonzero coefficient of degree at most ``degree`` therefore comes from
+    at most degree - 1 raising steps and d(depth - 1) steps in each diagonal
+    block d = 1..``degree``, which bounds the number of terms by
+    (degree - 1) + (depth - 1) degree (degree + 1) / 2.  The loop stops
+    there, or earlier on an exactly zero term."""
+    op = _derivation(V, table, degree)
+    X = np.zeros((op.shape[0], len(V)))
+    X[table.var, np.arange(len(V))] = 1.0
+    total = X
+    for k in range(1, degree + (depth - 1) * degree * (degree + 1) // 2):
+        X = (op @ X) * (1.0 / k)
+        if not X.any():
             break
-        total = total + term
-    reliable = min(c.reliable_order for c in V)
-    return JetVector([Jet(m, V.order, c.coeffs, reliable) for c in total], m, V.order)
+        total = total + X
+    return total.T
 
 
-def _check_field(V: JetVector, tols: Tolerances) -> int:
-    """Validate a vector field; returns the depth of its nilpotent linear
-    part (see :func:`_time1`)."""
+def _graded_finite(jets: JetVector, table: _GradedTable, what: str) -> np.ndarray:
+    """Coefficients of ``jets`` on the graded basis of ``table``; refuses a
+    non-finite one."""
+    coeffs = _graded_coeffs(jets, table)
+    bad = np.argwhere(~np.isfinite(coeffs))
+    if len(bad):
+        i, a = bad[0]
+        raise PreconditionError(
+            f"{what} component {i} has the non-finite coefficient {coeffs[i, a]!r} "
+            f"at monomial {table.monomials[a].exponents}")
+    return coeffs
+
+
+def _check_field(V: JetVector, table: _GradedTable,
+                 tols: Tolerances) -> tuple[np.ndarray, int]:
+    """Validate a vector field; returns its coefficients on the graded basis
+    of ``table`` and the depth of its nilpotent linear part (see
+    :func:`_time1`)."""
     if len(V) != V.num_vars:
         raise StructuralError("vector field must have one component per variable")
     const = V.constant_vector()
     if np.max(np.abs(const), initial=0.0) != 0.0:
         raise StructuralError("vector field must vanish at the origin; "
                               "re-expand about the equilibrium first")
-    return len(_nilpotent_powers(V.linear_matrix(), tols.nilp))
+    coeffs = _graded_finite(V, table, "vector field")
+    return coeffs, len(_nilpotent_powers(coeffs[:, table.var], tols.nilp))
 
 
 def flow_time1_jet(V: JetVector, order: int,
@@ -235,11 +253,17 @@ def flow_time1_jet(V: JetVector, order: int,
     """Jet of the time-1 map of a vector field with nilpotent linear part.
 
     Sums the Lie series exp(D_V) x, which is finite because the linear part
-    is nilpotent; every coefficient is exact up to rounding.
+    is nilpotent; every coefficient is exact up to rounding.  A non-finite
+    coefficient up to ``order`` is refused with :class:`PreconditionError`.
     """
     if order < 1 or order > V.order:
         raise StructuralError(f"order must lie in 1..{V.order}")
-    return _time1(V, order, _check_field(V, tols))
+    table = _graded_table(V.num_vars, order)
+    coeffs, depth = _check_field(V, table, tols)
+    reliable = min(c.reliable_order for c in V)
+    return JetVector(_graded_jets(_time1(coeffs, table, order, depth), table,
+                                  V.num_vars, V.order, reliable),
+                     V.num_vars, V.order)
 
 
 @dataclass
@@ -303,7 +327,9 @@ def takens_embed_unipotent(H: JetVector, order: int,
 
     Requires H(0) = 0 and a unipotent linear part.  The field's linear part
     is the nilpotent logarithm of the map's linear part; each homogeneous
-    part is found by a dense solve on the degree's coefficient space.
+    part is found by a dense solve on the degree's coefficient space.  A
+    non-finite coefficient up to ``order`` is refused with
+    :class:`PreconditionError`.
     """
     if order < 1 or order > H.order:
         raise StructuralError(f"order must lie in 1..{H.order}")
@@ -312,38 +338,42 @@ def takens_embed_unipotent(H: JetVector, order: int,
         raise StructuralError("map jet must be square (one component per variable)")
     if np.max(np.abs(H.constant_vector()), initial=0.0) != 0.0:
         raise PreconditionError("map must fix the origin; re-center first")
-    A = H.linear_matrix()
-    L = nilpotent_log(A, tols)  # refuses non-unipotent linear parts
+    table = _graded_table(m, order)
+    target = _graded_finite(H, table, "map")
+    L = nilpotent_log(target[:, table.var], tols)  # refuses non-unipotent linear parts
     Lpows = _nilpotent_powers(L, tols.nilp)
 
-    V = JetVector(jet_linear_map(L, JetVector.identity(m, H.order)), m, H.order)
-
+    V = np.zeros_like(target)
+    V[:, table.var] = L
     depth = len(Lpows)
     levels = _substitution_levels([P / math.factorial(d) for d, P in enumerate(Lpows)])
     next(levels)  # degree 1: the linear part is the logarithm itself
 
     for l in range(2, order + 1):
         # V holds degrees < l here; adding F_l adds op F_l at degree l
-        known_l = _time1(V, l, depth).degree_part(l)
+        part = slice(table.ends[l - 1], table.ends[l])
+        known_l = _time1(V, table, l, depth)[:, part]
 
-        basis, Q = next(levels)
+        _, Q = next(levels)
         # operator: F -> int_0^1 exp(L(1-tau)) F(exp(L tau) x) dtau; exp(L(1-tau))
         # carries L^p/p!, and the Beta integral int (1-tau)^p tau^d dtau =
-        # p! d!/(p+d+1)! cancels the p!
-        op = sum(math.factorial(d) / math.factorial(p + d + 1) * np.kron(P, Qd)
-                 for p, P in enumerate(Lpows) for d, Qd in enumerate(Q))
+        # p! d!/(p+d+1)! cancels the p!; kron is linear in its second factor,
+        # so the d-sum is taken before it
+        op = sum(np.kron(P, np.tensordot([math.factorial(d) / math.factorial(p + d + 1)
+                                          for d in range(len(Q))], Q, axes=1))
+                 for p, P in enumerate(Lpows))
         try:
-            F_l = _solve_degree(op, H.degree_part(l) - known_l, basis)
+            F_l = np.linalg.solve(op, (target[:, part] - known_l).ravel())
         except np.linalg.LinAlgError as exc:
             raise InternalError(
                 f"per-degree matching operator is singular at degree {l} "
                 f"(cond {np.linalg.cond(op):.3g}); uniqueness should forbid this"
             ) from exc
-        V = V + F_l
+        V[:, part] = F_l.reshape(m, -1)
 
-    residual = max_coeff_diff(_time1(V, order, depth), H.degree_cap(order))
-    return EmbeddingResult(V=V.degree_cap(order), matched_order=order,
-                           residual=residual)
+    residual = float(np.max(np.abs(_time1(V, table, order, depth) - target)))
+    return EmbeddingResult(V=JetVector(_graded_jets(V, table, m, H.order), m, H.order),
+                           matched_order=order, residual=residual)
 
 
 # ---------------------------------------------------------------------------

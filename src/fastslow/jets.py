@@ -15,7 +15,7 @@ source jets one order higher.
 from __future__ import annotations
 
 import math
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -648,3 +648,123 @@ def monomials_of_degree(num_vars: int, degree: int) -> list[MultiIndex]:
 
 def count_monomials(num_vars: int, degree: int) -> int:
     return math.comb(degree + num_vars - 1, degree)
+
+
+# -- the graded monomial basis ----------------------------------------------
+
+
+class _GradedTable:
+    """The constant-free monomials of degree 1..order in graded-lex order,
+    and the index triples of the derivation D_V g = sum_j V_j dg/dx_j on
+    them.
+
+    ``ends[d]`` counts the monomials of degree 1..d, so the degree-d ones
+    sit at ``ends[d-1]:ends[d]``, and ``var[i]`` is the position of x_i
+    (graded lex lists x_{m-1} first).  A field V is an (m, D) array with
+    ``V[j, a]`` the coefficient of monomial a in V_j.  Triple t adds
+    ``V.flat[coeff[t]] * weight[t]`` to the operator entry ``pair[t]``, the
+    index of a (target, column) entry of a CSR matrix with rows
+    ``indptr``/``indices``: column b = x^beta, weight beta_j, target
+    x^(alpha + beta - e_j) for coeff = j D + alpha.  Triples are sorted by
+    pair and pairs by (target, column); a target never has a lower degree
+    than its column, so the first ``triple_ends[d]`` triples build the
+    leading block on degrees 1..d."""
+
+    __slots__ = ("monomials", "index", "ends", "var", "pair", "coeff", "weight",
+                 "indptr", "indices", "triple_ends")
+
+    def __init__(self, num_vars: int, order: int):
+        m = num_vars
+        self.monomials = [a for d in range(1, order + 1)
+                          for a in monomials_of_degree(m, d)]
+        self.index = {a: i for i, a in enumerate(self.monomials)}
+        size = len(self.monomials)
+        E = np.array([a.exponents for a in self.monomials], dtype=np.int64)
+        degree = E.sum(axis=1)
+        self.ends = np.array([math.comb(m + d, d) - 1 for d in range(order + 1)])
+        self.var = _graded_rank(np.eye(m, dtype=np.int64), self.ends)
+        targets, columns, coeffs, weights = [], [], [], []
+        for j in range(m):
+            # columns x^beta with beta_j > 0; alpha runs over the monomials
+            # of degree <= order + 1 - |beta|, a prefix of the basis
+            cols = np.flatnonzero(E[:, j])
+            counts = self.ends[order + 1 - degree[cols]]
+            col = np.repeat(cols, counts)
+            alpha = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+            target = E[alpha] + E[col]
+            target[:, j] -= 1
+            targets.append(_graded_rank(target, self.ends))
+            columns.append(col)
+            coeffs.append(j * size + alpha)
+            weights.append(E[col, j])
+        key = np.concatenate(targets) * size + np.concatenate(columns)
+        perm = np.argsort(key, kind="stable")
+        key = key[perm]
+        new = np.ones(len(key), dtype=bool)
+        new[1:] = key[1:] != key[:-1]
+        self.pair = np.cumsum(new) - 1
+        self.coeff = np.concatenate(coeffs)[perm]
+        self.weight = np.concatenate(weights)[perm].astype(float)
+        rows = key[new] // size
+        self.indices = key[new] % size
+        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=size))))
+        self.triple_ends = np.searchsorted(key // size, self.ends)
+        for arr in (self.ends, self.var, self.pair, self.coeff, self.weight,
+                    self.indptr, self.indices, self.triple_ends):
+            arr.flags.writeable = False
+
+
+def _graded_rank(E: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Basis positions of the rows of ``E``, exponents of degree 1..order.
+
+    Within degree d, the tuples that share the first i exponents of e and
+    have a smaller i-th one number C(r + k, k) - C(r - e_i + k, k), where
+    r = d - e_0 - ... - e_{i-1} and k = m - 1 - i slots remain after i."""
+    m = E.shape[1]
+    degree = E.sum(axis=1)
+    rank = ends[degree - 1].copy()
+    r = degree[:, None] - np.cumsum(E, axis=1) + E
+    for i in range(m - 1):
+        k = m - 1 - i
+        comb = np.array([math.comb(n + k, k) for n in range(int(degree.max()) + 1)])
+        rank += comb[r[:, i]] - comb[r[:, i] - E[:, i]]
+    return rank
+
+
+@lru_cache(maxsize=8)
+def _graded_table(num_vars: int, order: int) -> _GradedTable:
+    return _GradedTable(num_vars, order)
+
+
+def _graded_coeffs(jets: Iterable[Jet], table: _GradedTable) -> np.ndarray:
+    """(len(jets), D) coefficients of each jet on the graded basis; terms of
+    degree 0 and above the table's order are left out."""
+    jets = list(jets)
+    out = np.zeros((len(jets), len(table.monomials)))
+    for i, jet in enumerate(jets):
+        for idx, c in jet.coeffs.items():
+            pos = table.index.get(idx)
+            if pos is not None:
+                out[i, pos] = c
+    return out
+
+
+def _graded_jets(coeffs: np.ndarray, table: _GradedTable, num_vars: int, order: int,
+                 reliable_order: int | None = None) -> list[Jet]:
+    """Jets (storage order ``order``) from rows of graded-basis coefficients."""
+    return [Jet(num_vars, order, dict(zip(table.monomials, row.tolist())), reliable_order)
+            for row in coeffs]
+
+
+def _derivation(V: np.ndarray, table: _GradedTable, degree: int):
+    """D_V as a CSR matrix on the monomials of degree 1..``degree``, for a
+    field ``V`` given on the graded basis of ``table``.  Each entry sums its
+    triples in one fixed order, so equal fields give equal bits."""
+    import scipy.sparse  # here, so that importing the package does not load it
+
+    n, t = table.ends[degree], table.triple_ends[degree]
+    nnz = table.indptr[n]
+    data = np.bincount(table.pair[:t], weights=V.ravel()[table.coeff[:t]] * table.weight[:t],
+                       minlength=nnz)
+    return scipy.sparse.csr_matrix((data, table.indices[:nnz], table.indptr[:n + 1]),
+                                   shape=(n, n))

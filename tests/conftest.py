@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from fastslow.jets import Jet, JetVector, monomials_of_degree
+from fastslow.jets import Jet, JetVector, jet_mul, jet_partial, monomials_of_degree
 from fastslow.model import FastSlowMapSpec, standard_form_2d
 
 # property tests must not fail on timing (host speed varies) nor vary from
@@ -114,6 +114,28 @@ def random_nilpotent_field(rng, num_vars=None, order=4, fill=0.4):
                     terms[alpha.exponents] = float(rng.uniform(-0.8, 0.8))
         comps.append(Jet.from_terms(m, order, terms))
     return JetVector(comps, m, order)
+
+
+def lie_series_oracle(V, order, depth):
+    """Reference for ``flow_time1_jet``: the Lie series exp(D_V) x summed one
+    jet product at a time, with the term bound and the stop on an exactly
+    zero term of ``embedding._time1``.  Slow; for tests only."""
+    m = V.num_vars
+    field = [c.truncated(order) for c in V]
+    term = JetVector.identity(m, order)
+    total = term
+    for k in range(1, order + (depth - 1) * order * (order + 1) // 2):
+        comps = []
+        for g in term:
+            acc = Jet.zero(m, order)
+            for j, v in enumerate(field):
+                acc = acc + jet_mul(v, jet_partial(g, j))
+            comps.append(acc * (1.0 / k))
+        term = JetVector(comps, m, order)
+        if term.max_abs() == 0.0:
+            break
+        total = total + term
+    return total
 
 
 def random_contact3d_spec(rng, order=5):

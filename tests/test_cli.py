@@ -1,8 +1,13 @@
 """File format and command-surface tests."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import fastslow
 from fastslow.errors import AssumptionViolationError, ParseError
 from fastslow.cli import execute_command
 from fastslow.specfiles import (MapSpecFile, emit_jetvector, emit_mapspec,
@@ -216,6 +221,22 @@ class TestCommands:
                                     "--rho", "0.1", "--eps", "1e-3:1e-2:log:4",
                                     "--out", str(target)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_embed_byte_identical_across_processes(self, fold_file, tmp_path):
+        # two interpreters with different hash seeds: neither the printed
+        # line nor the field file may depend on dict or set order
+        src = os.path.dirname(os.path.dirname(fastslow.__file__))
+        outputs = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"V{seed}.map"
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            proc = subprocess.run([sys.executable, "-m", "fastslow.cli", "embed",
+                                   "--spec", fold_file, "--out", str(out)],
+                                  env=env, capture_output=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append((proc.stdout, out.read_bytes()))
+        assert outputs[0] == outputs[1]
 
 
 class TestCommandErrorSurface:

@@ -94,6 +94,12 @@ class TestFlowJet:
         with pytest.raises(StructuralError):
             flow_time1_jet(JetVector([Jet.constant(1, 3, 1.0)]), 3)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_refused(self, value):
+        V = JetVector([Jet.from_terms(1, 4, {(2,): value})])
+        with pytest.raises(PreconditionError, match=r"component 0 .*monomial \(2,\)"):
+            flow_time1_jet(V, 4)
+
 
 class TestEmbedding:
     def test_scalar_inverse_of_flow(self):
@@ -123,6 +129,15 @@ class TestEmbedding:
         res = takens_embed_unipotent(H, 3)
         A = H.linear_matrix()
         assert np.max(np.abs(res.V.linear_matrix() - (A - np.eye(2)))) <= 1e-10
+
+    @pytest.mark.parametrize("terms", [{(1, 0): 1.0, (0, 1): 1.0, (1, 1): -np.inf},
+                                       {(1, 0): np.nan}])
+    def test_non_finite_refused(self, terms):
+        H = JetVector([Jet.from_terms(2, 3, terms), Jet.variable(2, 3, 1)])
+        bad = next(k for k, v in terms.items() if not np.isfinite(v))
+        with pytest.raises(PreconditionError,
+                           match=rf"component 0 .*monomial \({bad[0]}, {bad[1]}\)"):
+            takens_embed_unipotent(H, 3)
 
     def test_non_unipotent_routed_to_split(self):
         H = JetVector([Jet.from_terms(1, 3, {(1,): 0.5})])
@@ -163,6 +178,24 @@ class TestEmbedding:
         twice = jetvector_compose(H, H)
         gap = max_coeff_diff(flow_time1_jet(V * 2.0, 4), twice)
         assert gap <= 1e-12 * max(1.0, twice.max_abs())
+
+    def test_round_trip_dense_depth_five(self):
+        # every coefficient of degree 2..5 in 5 variables, on one Jordan chain
+        # through all of them
+        rng = np.random.default_rng(23)
+        comps = []
+        for i in range(5):
+            terms = {alpha.exponents: float(rng.uniform(-0.5, 0.5))
+                     for d in range(2, 6) for alpha in monomials_of_degree(5, d)}
+            if i < 4:
+                terms[tuple(1 if j == i + 1 else 0 for j in range(5))] = \
+                    float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.0))
+            comps.append(Jet.from_terms(5, 5, terms))
+        V = JetVector(comps, 5, 5)
+        H = flow_time1_jet(V, 5)
+        res = takens_embed_unipotent(H, 5)
+        assert max_coeff_diff(res.V, V) <= 1e-9
+        assert res.residual <= 1e-9
 
     def test_deterministic_solves(self):
         rng = np.random.default_rng(4)

@@ -1,20 +1,24 @@
 """Property tests (hypothesis): embedding round trips, the flow's group
-law, shift round trips, evaluator agreement, composition associativity,
-linear maps of jets and spec-file round trips on generated inputs; and the
-contact chart against its two-stage construction."""
+law and its agreement with the jet-product Lie series, the ring laws of
+``jet_mul``, the Leibniz rule, the graded-basis derivation operator, shift
+round trips, evaluator agreement, composition associativity, linear maps of
+jets and spec-file round trips on generated inputs; and the contact chart
+against its two-stage construction."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from fastslow.dynamics import compile_jet_callable
-from fastslow.embedding import flow_time1_jet, takens_embed_unipotent
-from fastslow.jets import (Jet, JetVector, jet_compose, jet_linear_map, jet_shift,
-                           jetvector_compose, max_coeff_diff, monomials_of_degree)
+from fastslow.embedding import _nilpotent_powers, flow_time1_jet, takens_embed_unipotent
+from fastslow.jets import (Jet, JetVector, _derivation, _graded_coeffs, _graded_jets,
+                           _graded_table, jet_compose, jet_linear_map, jet_mul,
+                           jet_partial, jet_shift, jetvector_compose, max_coeff_diff,
+                           monomials_of_degree)
 from fastslow.model import FastSlowMapSpec, extended_map_jets
 from fastslow.singularities import _newton_rectify, cm_normal_form_transform
 from fastslow.specfiles import emit_mapspec, parse_mapspec
-from conftest import make_contact3d_spec, make_fold_spec
+from conftest import lie_series_oracle, make_contact3d_spec, make_fold_spec
 
 COEFF = st.floats(-0.8, 0.8, allow_nan=False, allow_subnormal=False)
 
@@ -36,19 +40,25 @@ def jet_vectors(draw, num_vars, order, components, min_degree=0):
 
 @st.composite
 def nilpotent_fields(draw):
-    """Fields with a nilpotent linear part (one Jordan chain of seeded
-    length and superdiagonal entries) plus a generated nonlinear part."""
+    """Fields with a nilpotent linear part plus a generated nonlinear part.
+    The linear part is one Jordan chain J of seeded length and superdiagonal
+    entries, or a non-triangular L = P J P^-1 with |P - I| <= 0.3 entrywise
+    (so P is invertible for m <= 3)."""
     m = draw(st.integers(1, 3))
     order = draw(st.integers(2, 4))
     depth = draw(st.integers(1, m))
     V = draw(jet_vectors(m, order, m, min_degree=2))
+    L = np.zeros((m, m))
+    for i in range(depth - 1):
+        L[i, i + 1] = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.5, 1.0))
+    if draw(st.booleans()):
+        entries = draw(st.lists(st.floats(-0.3, 0.3), min_size=m * m, max_size=m * m))
+        P = np.eye(m) + np.reshape(entries, (m, m))
+        L = P @ L @ np.linalg.inv(P)
     comps = []
     for i, comp in enumerate(V):
-        if i + 1 < depth:
-            entry = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.5, 1.0))
-            unit = tuple(1 if j == i + 1 else 0 for j in range(m))
-            comp = comp + Jet.from_terms(m, order, {unit: entry})
-        comps.append(comp)
+        linear = {tuple(1 if j == s else 0 for j in range(m)): L[i, s] for s in range(m)}
+        comps.append(comp + Jet.from_terms(m, order, linear))
     return JetVector(comps, m, order)
 
 
@@ -66,6 +76,67 @@ def test_time1_flow_group_law(V):
     twice = jetvector_compose(phi, phi)
     gap = max_coeff_diff(flow_time1_jet(V * 2.0, V.order), twice)
     assert gap <= 1e-12 * max(1.0, twice.max_abs())
+
+
+@given(nilpotent_fields())
+def test_time1_flow_matches_lie_series_oracle(V):
+    flow = flow_time1_jet(V, V.order)
+    depth = len(_nilpotent_powers(V.linear_matrix(), 1e-9))
+    oracle = lie_series_oracle(V, V.order, depth)
+    assert max_coeff_diff(flow, oracle) <= 1e-13 * oracle.max_abs()
+
+
+@st.composite
+def jet_triples(draw):
+    m = draw(st.integers(1, 3))
+    return draw(jet_vectors(m, draw(st.integers(1, 4)), 3))
+
+
+def _close(a, b):
+    return max_coeff_diff(a, b) <= 1e-12 * max(1.0, a.max_abs(), b.max_abs())
+
+
+@given(jet_triples())
+def test_jet_mul_ring_laws(abc):
+    a, b, c = abc
+    assert _close(jet_mul(a, b), jet_mul(b, a))
+    assert _close(jet_mul(jet_mul(a, b), c), jet_mul(a, jet_mul(b, c)))
+    assert _close(jet_mul(a, b + c), jet_mul(a, b) + jet_mul(a, c))
+
+
+@given(jet_triples(), st.integers(0, 2))
+def test_jet_partial_leibniz(abc, var):
+    a, b, _ = abc
+    var %= a.num_vars
+    lhs = jet_partial(jet_mul(a, b), var)
+    rhs = jet_mul(a, jet_partial(b, var)) + jet_mul(b, jet_partial(a, var))
+    # the product's top degree is truncated away, so its derivative is
+    # right only up to the reliable order, one below the order
+    assert lhs.reliable_order == rhs.reliable_order == a.order - 1
+    assert _close(lhs.degree_cap(lhs.reliable_order), rhs.degree_cap(lhs.reliable_order))
+
+
+@st.composite
+def fields_and_jet_pairs(draw):
+    m = draw(st.integers(1, 3))
+    order = draw(st.integers(1, 5))
+    return (draw(jet_vectors(m, order, m, min_degree=1)),
+            draw(jet_vectors(m, order, 2, min_degree=1)))
+
+
+@given(fields_and_jet_pairs())
+def test_graded_operator_is_the_derivation(case):
+    V, (g, h) = case
+    m, order = V.num_vars, V.order
+    table = _graded_table(m, order)
+    op = _derivation(_graded_coeffs(V, table), table, order)
+
+    def apply(u):
+        return _graded_jets((op @ _graded_coeffs([u], table).T).T, table, m, order)[0]
+
+    direct = sum((jet_mul(V[j], jet_partial(g, j)) for j in range(m)), Jet.zero(m, order))
+    assert _close(apply(g), direct)
+    assert _close(apply(jet_mul(g, h)), jet_mul(g, apply(h)) + jet_mul(h, apply(g)))
 
 
 @st.composite
