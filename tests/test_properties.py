@@ -18,6 +18,7 @@ from fastslow.jets import (Jet, JetVector, _derivation, _graded_coeffs, _graded_
 from fastslow.model import FastSlowMapSpec, extended_map_jets
 from fastslow.singularities import _newton_rectify, cm_normal_form_transform
 from fastslow.specfiles import emit_mapspec, parse_mapspec
+from fastslow.tols import DEFAULT_TOLS
 from conftest import lie_series_oracle, make_contact3d_spec, make_fold_spec
 
 COEFF = st.floats(-0.8, 0.8, allow_nan=False, allow_subnormal=False)
@@ -81,7 +82,7 @@ def test_time1_flow_group_law(V):
 @given(nilpotent_fields())
 def test_time1_flow_matches_lie_series_oracle(V):
     flow = flow_time1_jet(V, V.order)
-    depth = len(_nilpotent_powers(V.linear_matrix(), 1e-9))
+    depth = len(_nilpotent_powers(V.linear_matrix(), DEFAULT_TOLS.nilp))
     oracle = lie_series_oracle(V, V.order, depth)
     assert max_coeff_diff(flow, oracle) <= 1e-13 * oracle.max_abs()
 
