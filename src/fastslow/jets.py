@@ -10,6 +10,13 @@ its coefficients agree with those of the underlying function.  Every jet
 carries a ``reliable_order`` recording that degree; operations propagate it
 conservatively.  Callers that need full-order derivatives must build their
 source jets one order higher.
+
+Composition runs on the graded monomial basis (:class:`_GradedTable`): the
+constant-free monomials of degree 1..order in graded-lex order.  One matrix
+Phi per inner vector holds the coefficients of every power product
+inner^alpha (:func:`_composition_matrix`), and each outer jet is its
+coefficient row times Phi, plus its constant term.  This is the dense
+graded-coefficient technique of Jorba and Zou, Exp. Math. 14 (2005).
 """
 
 from __future__ import annotations
@@ -468,8 +475,24 @@ def _as_jetvector(inner) -> JetVector:
 def jet_compose(outer: Jet, inner) -> Jet:
     """Composition ``outer(inner_1, ..., inner_m)`` truncated at the shared
     order.  Inner components must have zero constant term; affine shifts are
-    handled by re-expanding about the working point (see :func:`jet_shift`)."""
-    inner = _as_jetvector(inner)
+    handled by re-expanding about the working point (see :func:`jet_shift`).
+
+    The one-jet case of :func:`jetvector_compose`: the outer coefficients
+    on the graded basis times the composition matrix of ``inner``."""
+    return _compose(JetVector([outer]), inner)[0]
+
+
+def jetvector_compose(outer: JetVector, inner) -> JetVector:
+    """Every component of ``outer`` composed with ``inner``, through one
+    composition matrix of ``inner`` (see :func:`jet_compose`)."""
+    return _compose(outer, inner)
+
+
+def _compose(outer, inner, degree: int | None = None) -> JetVector:
+    """:func:`jetvector_compose` keeping only the terms of degree <= ``degree``
+    (default: the order).  They depend only on the terms of degree <= ``degree``
+    of both sides, so a capped composition is the full one, truncated."""
+    outer, inner = _as_jetvector(outer), _as_jetvector(inner)
     if len(inner) != outer.num_vars:
         raise StructuralError(
             f"outer has {outer.num_vars} variables but inner has {len(inner)} components")
@@ -479,39 +502,21 @@ def jet_compose(outer: Jet, inner) -> Jet:
         if comp.constant_term != 0.0:
             raise ConstantTermError(
                 f"inner component {k} has constant term {comp.constant_term!r}")
-
-    m2, order = inner.num_vars, outer.order
-    reliable = min([outer.reliable_order] + [c.reliable_order for c in inner])
-    powers: dict[tuple[int, int], Jet] = {}
-
-    def power(s: int, e: int) -> Jet:
-        key = (s, e)
-        got = powers.get(key)
-        if got is None:
-            got = inner[s] if e == 1 else jet_mul(power(s, e - 1), inner[s])
-            powers[key] = got
-        return got
-
-    acc: dict[MultiIndex, float] = {}
-    zero_key = MultiIndex((0,) * m2)
-    for idx, c in outer.coeffs.items():
-        term: Jet | None = None
-        for s, e in enumerate(idx.exponents):
-            if e:
-                p = power(s, e)
-                term = p if term is None else jet_mul(term, p)
-        if term is None:  # constant monomial of the outer jet
-            acc[zero_key] = acc.get(zero_key, 0.0) + c
-            continue
-        for i2, c2 in term.coeffs.items():
-            acc[i2] = acc.get(i2, 0.0) + c * c2
-    return Jet(m2, order, acc, reliable)
-
-
-def jetvector_compose(outer: JetVector, inner) -> JetVector:
-    inner = _as_jetvector(inner)
-    return JetVector([jet_compose(c, inner) for c in outer],
-                     inner.num_vars, inner.order)
+    m, order = inner.num_vars, inner.order
+    degree = order if degree is None else degree
+    out_table, in_table = _graded_table(len(inner), order), _graded_table(m, order)
+    phi = _composition_matrix(_graded_coeffs(inner, in_table), out_table, in_table, degree)
+    coeffs = _graded_coeffs(outer, out_table)[:, :len(phi)]
+    reliable = min(c.reliable_order for c in inner)
+    zero = MultiIndex((0,) * m)
+    comps = []
+    for jet, row in zip(outer, coeffs):
+        # one vector-matrix product per jet (not one matrix product for all),
+        # so that a jet composes to the same bits alone and in a vector
+        terms = dict(zip(in_table.monomials, (row @ phi).tolist()))
+        terms[zero] = jet.constant_term
+        comps.append(Jet(m, order, terms, min(jet.reliable_order, reliable)))
+    return JetVector(comps, m, order)
 
 
 def jet_partial(a: Jet, var: int) -> Jet:
@@ -668,10 +673,16 @@ class _GradedTable:
     x^(alpha + beta - e_j) for coeff = j D + alpha.  Triples are sorted by
     pair and pairs by (target, column); a target never has a lower degree
     than its column, so the first ``triple_ends[d]`` triples build the
-    leading block on degrees 1..d."""
+    leading block on degrees 1..d.
+
+    The product table lists every pair of monomials ``left[q]``,
+    ``right[q]`` whose product ``target[q]`` has degree <= order, sorted by
+    that degree, so the first ``pair_ends[d]`` pairs are the products on
+    degrees 1..d."""
 
     __slots__ = ("monomials", "index", "ends", "var", "pair", "coeff", "weight",
-                 "indptr", "indices", "triple_ends")
+                 "indptr", "indices", "triple_ends", "left", "right", "target",
+                 "pair_ends")
 
     def __init__(self, num_vars: int, order: int):
         m = num_vars
@@ -688,9 +699,7 @@ class _GradedTable:
             # columns x^beta with beta_j > 0; alpha runs over the monomials
             # of degree <= order + 1 - |beta|, a prefix of the basis
             cols = np.flatnonzero(E[:, j])
-            counts = self.ends[order + 1 - degree[cols]]
-            col = np.repeat(cols, counts)
-            alpha = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+            col, alpha = _prefix_pairs(cols, self.ends[order + 1 - degree[cols]])
             target = E[alpha] + E[col]
             target[:, j] -= 1
             targets.append(_graded_rank(target, self.ends))
@@ -709,9 +718,23 @@ class _GradedTable:
         self.indices = key[new] % size
         self.indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=size))))
         self.triple_ends = np.searchsorted(key // size, self.ends)
+        left, right = _prefix_pairs(np.arange(size), self.ends[order - degree])
+        total = degree[left] + degree[right]
+        perm = np.argsort(total, kind="stable")
+        self.left, self.right = left[perm], right[perm]
+        self.target = _graded_rank(E[self.left] + E[self.right], self.ends)
+        self.pair_ends = np.searchsorted(total[perm], np.arange(order + 1), side="right")
         for arr in (self.ends, self.var, self.pair, self.coeff, self.weight,
-                    self.indptr, self.indices, self.triple_ends):
+                    self.indptr, self.indices, self.triple_ends, self.left,
+                    self.right, self.target, self.pair_ends):
             arr.flags.writeable = False
+
+
+def _prefix_pairs(rows: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (row, b) for b in 0..counts[i]-1 of each ``rows[i]``: with the
+    basis in graded order, each row meets a prefix of the basis."""
+    return (np.repeat(rows, counts),
+            np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts))
 
 
 def _graded_rank(E: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -726,7 +749,7 @@ def _graded_rank(E: np.ndarray, ends: np.ndarray) -> np.ndarray:
     r = degree[:, None] - np.cumsum(E, axis=1) + E
     for i in range(m - 1):
         k = m - 1 - i
-        comb = np.array([math.comb(n + k, k) for n in range(int(degree.max()) + 1)])
+        comb = np.array([math.comb(n + k, k) for n in range(int(degree.max(initial=0)) + 1)])
         rank += comb[r[:, i]] - comb[r[:, i] - E[:, i]]
     return rank
 
@@ -768,3 +791,37 @@ def _derivation(V: np.ndarray, table: _GradedTable, degree: int):
                        minlength=nnz)
     return scipy.sparse.csr_matrix((data, table.indices[:nnz], table.indptr[:n + 1]),
                                    shape=(n, n))
+
+
+def _composition_matrix(inner: np.ndarray, out_table: _GradedTable,
+                        in_table: _GradedTable, degree: int) -> np.ndarray:
+    """Phi on the monomials of degree 1..``degree``: row a holds the
+    coefficients of inner^alpha on the basis of ``in_table``, for
+    x^alpha = ``out_table.monomials[a]`` and an inner vector given as an
+    (m, D) array on that basis (it has no constant terms).
+
+    Rows are built degree by degree, Phi[alpha] = Phi[alpha - e_j] M_j, with
+    x_j the first variable of x^alpha and M_j the matrix of truncated
+    multiplication by inner_j.  In graded lex the monomials of degree d whose
+    first variable is x_j are one run, and alpha -> alpha - e_j maps it in
+    order onto the run of degree d-1 monomials free of x_0..x_{j-1}; those
+    have first variables x_j and later, so j runs from the last variable
+    down.  inner^alpha has no term below degree |alpha|, so only the
+    columns from there on are multiplied."""
+    m = len(inner)
+    ends_out, ends_in = out_table.ends, in_table.ends
+    n = ends_in[degree]
+    q = in_table.pair_ends[degree]
+    left, right, target = in_table.left[:q], in_table.right[:q], in_table.target[:q]
+    phi = np.zeros((ends_out[degree], n))
+    phi[out_table.var] = inner[:, :n]
+    for j in reversed(range(m)):
+        mult = np.zeros((n, n))
+        mult[left, target] = inner[j, right]  # one b per (a, target): nothing sums
+        k = m - 1 - j  # variables after x_j
+        for d in range(2, degree + 1):
+            start = ends_out[d - 1] + (math.comb(d + k - 1, k - 1) if k else 0)
+            stop = ends_out[d - 1] + math.comb(d + k, k)
+            src, lo, hi = ends_out[d - 2], ends_in[d - 2], ends_in[d - 1]
+            phi[start:stop, hi:] = phi[src:src + stop - start, lo:] @ mult[lo:, hi:]
+    return phi

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DegenerateCaseError, PreconditionError, StructuralError
-from .jets import (Jet, JetVector, MultiIndex, jet_compose, jet_linear_map,
+from .jets import (Jet, JetVector, MultiIndex, _compose, jet_linear_map,
                    jet_matrix_mul, jet_mul, jet_partial, jet_reciprocal,
                    jetvector_compose, monomials_of_degree)
 from .model import FastSlowMapSpec, extended_map_jets, nontrivial_multipliers
@@ -539,12 +539,12 @@ def cm_normal_form_transform(spec: FastSlowMapSpec,
     C[k:n, k:n] = np.column_stack([frame.r, frame.P])
     ident = JetVector.identity(m, r)
     chart = jet_linear_map(C, ident)
-    z_chart = JetVector(list(ident[:k]) + [jet_compose(c, chart) for c in K], m, r)
+    z_chart = JetVector(list(ident[:k]) + list(jetvector_compose(K, chart)), m, r)
     inner = JetVector(list(z_chart) + [ident[n]], m, r)
-    z_hat = [jet_compose(c, inner) for c in extended_map_jets(spec)[:n]]
+    z_hat = jetvector_compose(JetVector(extended_map_jets(spec)[:n], m, r), inner)
     v_hat = jetvector_compose(spec.f, z_hat)
-    hat_map = JetVector(z_hat[:k] + jet_linear_map(np.vstack([frame.l, frame.Q]), v_hat),
-                        m, r)
+    hat_map = JetVector(list(z_hat[:k]) + jet_linear_map(np.vstack([frame.l, frame.Q]),
+                                                         v_hat), m, r)
 
     # the critical manifold is the pure-x subspace: it must stay fixed
     pure_x = 0.0
@@ -642,14 +642,13 @@ def center_manifold_restricted_map(nf: ContactNormalForm,
     u_red = Jet.variable(mred, r, k)
     eps_red = Jet.variable(mred, r, k + 1)
 
-    def on_graph(W: JetVector) -> tuple[JetVector, JetVector]:
+    def on_graph(W: JetVector, degree: int) -> tuple[JetVector, JetVector]:
         """The (x, u) block of the chart map on the graph w = W, and the
-        graph defect W(x, u block, eps) - (w block)."""
-        image = jetvector_compose(nf.hat_map,
-                                  x_red + [u_red] + list(W) + [eps_red])
+        graph defect W(x, u block, eps) - (w block), up to ``degree``."""
+        image = _compose(nf.hat_map, x_red + [u_red] + list(W) + [eps_red], degree)
         ret_xu = JetVector(image[:k + 1], mred, r)
         lhs = JetVector(image[k + 1:], mred, r)
-        return ret_xu, jetvector_compose(W, list(ret_xu) + [eps_red]) - lhs
+        return ret_xu, _compose(W, list(ret_xu) + [eps_red], degree) - lhs
 
     hm = nf.hat_map.linear_matrix()  # n x (n+1)
     btilde = hm[k + 1:n, k + 1:n]
@@ -666,8 +665,9 @@ def center_manifold_restricted_map(nf: ContactNormalForm,
 
     W = JetVector.zeros(p - 1, mred, r)
     levels = _substitution_levels([M])
-    for d in range(1, order + 1):
-        _, defect = on_graph(W)
+    # pass d needs degree d of the defect only; with p = 1, W is empty
+    for d in range(1, order + 1 if p > 1 else 1):
+        _, defect = on_graph(W, d)
         basis, Q = next(levels)
         D = len(basis)
         T = np.kron(btilde, np.eye(D)) - np.kron(np.eye(p - 1), Q[0])
@@ -677,7 +677,7 @@ def center_manifold_restricted_map(nf: ContactNormalForm,
             raise PreconditionError(
                 f"graph solve singular at degree {d}: offending "
                 f"eigenvalues {np.round(lam_w, 12)}") from exc
-    restricted, defect = on_graph(W)
+    restricted, defect = on_graph(W, r)
     residual = defect.degree_cap(order).max_abs()
 
     # graph factorization W = u W0 + eps W_rem at eps = 0
@@ -693,7 +693,10 @@ def center_manifold_restricted_map(nf: ContactNormalForm,
     z_cm = jetvector_compose(nf.z_chart, x_red + [u_red] + list(W_eps0) + [eps_red])
     DfN_jets = jet_matrix_mul(spec._df, spec.N)
     lDfN = [jet_linear_map(frame.l, col)[0] for col in zip(*DfN_jets)]
-    factor = [[jet_compose(c, z_cm) for c in row] for row in list(spec.N[:k]) + [lDfN]]
+    rows = list(spec.N[:k]) + [lDfN]
+    composed = list(jetvector_compose(JetVector([c for row in rows for c in row], n, r),
+                                      z_cm))
+    factor = [composed[i * p:(i + 1) * p] for i in range(k + 1)]
     rPW0 = jet_linear_map(np.column_stack([frame.r, frame.P]),
                           [Jet.constant(mred, r, 1.0)] + list(W0))
     Ntilde = JetVector([row[0] for row in jet_matrix_mul(factor, [[c] for c in rPW0])],

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from fastslow.jets import Jet, JetVector, jet_mul, jet_partial, monomials_of_degree
+from fastslow.jets import (Jet, JetVector, MultiIndex, jet_mul, jet_partial,
+                           monomials_of_degree)
 from fastslow.model import FastSlowMapSpec, standard_form_2d
 
 # property tests must not fail on timing (host speed varies) nor vary from
@@ -136,6 +137,38 @@ def lie_series_oracle(V, order, depth):
             break
         total = total + term
     return total
+
+
+def compose_oracle(outer, inner):
+    """Reference for ``jet_compose``: the sum over the outer monomials of
+    their coefficient times a product of powers of the inner components, each
+    power built by repeated ``jet_mul`` once and reused.  Slow; for tests
+    only."""
+    m, order = inner.num_vars, outer.order
+    reliable = min([outer.reliable_order] + [c.reliable_order for c in inner])
+    powers = {}
+
+    def power(s, e):
+        got = powers.get((s, e))
+        if got is None:
+            got = inner[s] if e == 1 else jet_mul(power(s, e - 1), inner[s])
+            powers[(s, e)] = got
+        return got
+
+    acc = {}
+    zero_key = MultiIndex((0,) * m)
+    for idx, c in outer.coeffs.items():
+        term = None
+        for s, e in enumerate(idx.exponents):
+            if e:
+                p = power(s, e)
+                term = p if term is None else jet_mul(term, p)
+        if term is None:  # constant monomial of the outer jet
+            acc[zero_key] = acc.get(zero_key, 0.0) + c
+            continue
+        for i2, c2 in term.coeffs.items():
+            acc[i2] = acc.get(i2, 0.0) + c * c2
+    return Jet(m, order, acc, reliable)
 
 
 def random_contact3d_spec(rng, order=5):

@@ -238,6 +238,25 @@ class TestCommands:
             outputs.append((proc.stdout, out.read_bytes()))
         assert outputs[0] == outputs[1]
 
+    def test_center_manifold_byte_identical_across_processes(self, tmp_path):
+        # the composition matrices are scattered from index tables and
+        # multiplied by BLAS: two interpreters with different hash seeds
+        # must still print and write the same bytes
+        spec = tmp_path / "c3.map"
+        spec.write_text(emit_mapspec(make_contact3d_spec()))
+        src = os.path.dirname(os.path.dirname(fastslow.__file__))
+        outputs = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"cm{seed}.csv"
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            proc = subprocess.run([sys.executable, "-m", "fastslow.cli", "center-manifold",
+                                   "--spec", str(spec), "--out", str(out)],
+                                  env=env, capture_output=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append((proc.stdout, out.read_bytes()))
+        assert outputs[0] == outputs[1]
+
 
 class TestCommandErrorSurface:
     def test_order_out_of_range_exit_2(self, fold_file, capsys):

@@ -1,13 +1,14 @@
 """Property tests (hypothesis): embedding round trips, the flow's group
 law and its agreement with the jet-product Lie series, the ring laws of
 ``jet_mul``, the Leibniz rule, the graded-basis derivation operator, shift
-round trips, evaluator agreement, composition associativity, linear maps of
-jets and spec-file round trips on generated inputs; and the contact chart
-against its two-stage construction."""
+round trips, evaluator agreement, composition against the sparse oracle and
+its associativity, linear maps of jets and spec-file round trips on
+generated inputs; and the contact chart against its two-stage
+construction."""
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fastslow.dynamics import compile_jet_callable
 from fastslow.embedding import _nilpotent_powers, flow_time1_jet, takens_embed_unipotent
@@ -19,7 +20,8 @@ from fastslow.model import FastSlowMapSpec, extended_map_jets
 from fastslow.singularities import _newton_rectify, cm_normal_form_transform
 from fastslow.specfiles import emit_mapspec, parse_mapspec
 from fastslow.tols import DEFAULT_TOLS
-from conftest import lie_series_oracle, make_contact3d_spec, make_fold_spec
+from conftest import (compose_oracle, lie_series_oracle, make_contact3d_spec,
+                      make_fold_spec)
 
 COEFF = st.floats(-0.8, 0.8, allow_nan=False, allow_subnormal=False)
 
@@ -193,6 +195,52 @@ def test_composition_associative_across_arities(chain):
     right = jet_compose(f, jetvector_compose(g, h))
     assert left.num_vars == right.num_vars == h.num_vars
     assert max_coeff_diff(left, right) <= 1e-12 * max(1.0, left.max_abs())
+
+
+def _compose_case(m_out, m_in, order, fill, count, seed):
+    """``count`` outer jets in ``m_out`` variables (constant terms included)
+    and an inner vector of ``m_out`` jets in ``m_in`` variables (no constant
+    terms), each monomial present with probability ``fill``, with random
+    coefficients and reliable orders from ``seed``."""
+    rng = np.random.default_rng(seed)
+
+    def jets(m, components, min_degree):
+        comps = []
+        for _ in range(components):
+            terms = {alpha.exponents: float(rng.uniform(-1.0, 1.0))
+                     for d in range(min_degree, order + 1)
+                     for alpha in monomials_of_degree(m, d) if rng.random() < fill}
+            comps.append(Jet(m, order, terms, int(rng.integers(0, order + 1))))
+        return JetVector(comps, m, order)
+
+    return jets(m_out, count, 0), jets(m_in, m_out, 1)
+
+
+@st.composite
+def compose_cases(draw):
+    """Composition inputs in arities 1..4 and orders 1..6, dense or with
+    each monomial kept with probability 0.3.  Shapes are sampled uniformly,
+    so that order 6 comes up as often as order 1; the coefficients come from
+    a drawn seed, since dense jets in four variables at order 6 hold more
+    numbers than hypothesis draws well."""
+    shape = [draw(st.sampled_from(range(1, 5))), draw(st.sampled_from(range(1, 5))),
+             draw(st.sampled_from(range(1, 7)))]
+    return _compose_case(*shape, draw(st.sampled_from([1.0, 0.3])),
+                         draw(st.integers(1, 3)), draw(st.integers(0, 2**32 - 1)))
+
+
+@given(compose_cases())
+@example(_compose_case(4, 4, 6, 1.0, 1, 0))  # the largest shape, dense
+def test_composition_matches_compose_oracle(case):
+    outer, inner = case
+    composed = jetvector_compose(outer, inner)
+    for jet, comp in zip(outer, composed):
+        oracle = compose_oracle(jet, inner)
+        assert max_coeff_diff(comp, oracle) <= 1e-13 * max(1.0, oracle.max_abs())
+        assert comp.reliable_order == oracle.reliable_order
+        alone = jet_compose(jet, inner)
+        assert alone == comp
+        assert alone.reliable_order == comp.reliable_order
 
 
 @st.composite

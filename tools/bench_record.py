@@ -9,9 +9,13 @@ from both.  Metric names, units, directions and bounds come from
 ``BENCHMARK.json`` of CHANGE_DIR.  For each workload and end-to-end metric
 the output holds, per side, the median, the quartiles, IQR/median and every
 run by seed; and, over the seeds run on both sides, the number of pairs the
-change wins and the median gap in units of the parent's IQR.  It also holds
-the git sha and the Python, numpy and scipy versions of each side, and the
-failed and attempted operation counts.  Standard library only.
+change wins and the median gap in units of the parent's IQR.  Per workload
+and operation label (``cli:center-manifold``, ``embed:m3o5``, ...) it holds
+each side's median latency over every operation of every run, and the
+label's share of the summed latency, so that a file shows where a round's
+time moved.  It also holds the git sha and the Python, numpy and scipy
+versions of each side, and the failed and attempted operation counts.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -44,6 +48,19 @@ def _summary(values: list[float]) -> dict:
                  if len(values) > 1 else (median, median, median))
     return {"median": median, "q1": q1, "q3": q3,
             "iqr_over_median": (q3 - q1) / median if median else None}
+
+
+def _labels(runs: dict[int, dict]) -> dict[str, dict]:
+    """label -> median latency and share of the summed latency, over every
+    operation of the given runs."""
+    latencies: dict[str, list[float]] = {}
+    for run in runs.values():
+        for op in run["records"]:
+            latencies.setdefault(op["label"], []).append(op["latency_s"])
+    total = sum(sum(values) for values in latencies.values())
+    return {label: {"median_s": statistics.median(values),
+                    "share": sum(values) / total if total else None}
+            for label, values in sorted(latencies.items())}
 
 
 def _side(records: list[dict]) -> dict:
@@ -83,9 +100,15 @@ def record(parent_root: str, change_root: str) -> dict:
                          "failed": sum(not op["ok"] for r in runs.values()
                                        for op in r["records"])}
                   for side, runs in sides.items()}
+        labels = {side: _labels(runs) for side, runs in sides.items()}
         workloads[workload] = {"seeds": seeds, "seconds": sorted({r["seconds"] for r in
                                                                   sides["change"].values()}),
-                               "operations": counts, "metrics": metrics}
+                               "operations": counts, "metrics": metrics,
+                               "latency_by_label": {
+                                   label: {side: labels[side].get(label)
+                                           for side in sides}
+                                   for label in sorted(set(labels["parent"])
+                                                       | set(labels["change"]))}}
     if not workloads:
         raise ValueError("no workload has --trace 0 results in both checkouts")
     first = next(iter(workloads))
@@ -118,6 +141,11 @@ def main() -> int:
                              f"{m[side]['iqr_over_median'] or 0.0:.3f})"
                              for side in ("parent", "change"))
             print(f"  {name:12s} {line}  change wins {m['change_wins']}/{m['pairs']}")
+        for label, by_side in data["latency_by_label"].items():
+            line = "  ".join(f"{side} {'-' if v is None else format(v['median_s'], '.4g')} s "
+                             f"({'-' if v is None else format(v['share'], '.1%')})"
+                             for side, v in by_side.items())
+            print(f"  {label:24s} {line}")
     return 0
 
 
