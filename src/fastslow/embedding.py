@@ -15,11 +15,12 @@ Two directions:
 
 * :func:`takens_embed_unipotent` inverts that computation: given a map jet
   whose linear part is unipotent, it solves degree by degree for the unique
-  vector field whose time-1 map matches the given jet.  At each degree the
-  unknown homogeneous part enters through an invertible linear operator on
-  the coefficient space, which is materialized as a dense matrix on the
-  monomial basis and solved directly; the known part is the same series on
-  the leading block of degrees 1..l, for the field found so far.
+  vector field whose time-1 map matches the given jet.  At each degree l the
+  unknown homogeneous part enters through an invertible linear operator,
+  sum_{p,q} L^p (x) A^q/(p+q+1)!, where L is the linear part and A the
+  degree-l diagonal block of D_{Lx} on the same graded basis; it is formed
+  as a dense matrix and solved directly.  The known part is the same series
+  on the leading block of degrees 1..l, for the field found so far.
 
 Both refuse a non-finite coefficient with :class:`PreconditionError`.
 
@@ -37,9 +38,9 @@ import numpy as np
 
 from .errors import (InternalError, PreconditionError, StructuralError,
                      UnsupportedCaseError)
-from .jets import (Jet, JetVector, MultiIndex, _GradedTable, _derivation,
-                   _graded_coeffs, _graded_jets, _graded_table, jet_matrix_inverse,
-                   jet_matrix_mul, jet_mul, monomials_of_degree)
+from .jets import (Jet, JetVector, _GradedTable, _derivation, _graded_coeffs,
+                   _graded_jets, _graded_table, jet_matrix_inverse, jet_matrix_mul,
+                   jet_mul)
 from .model import (FastSlowMapSpec, classify_point, nilpotency_index,
                     reduced_data)
 from .tols import DEFAULT_TOLS, Tolerances
@@ -274,51 +275,22 @@ class EmbeddingResult:
     residual: float
 
 
-def _substitution_levels(Ms: list[np.ndarray]):
-    """Matrices of the linear substitution x -> M(tau) x, with
-    M(tau) = sum_d Ms[d] tau^d, on the monomial basis of degree 1, 2, ...
+def _takens_operator(Lpows: list[np.ndarray], A: np.ndarray, top: int) -> np.ndarray:
+    """Matrix of F -> int_0^1 exp(L(1-tau)) F(exp(L tau) x) dtau on the
+    homogeneous fields of one degree l, packed component-major as ``np.kron``
+    lays out an operator acting on each component.
 
-    Yields ``(basis, Q)`` per degree, where ``Q[d][b, a]`` is the coefficient
-    of tau^d x^basis[b] in (M(tau) x)^basis[a].  Each degree is built from
-    the previous one by multiplying with one linear factor."""
-    m = Ms[0].shape[0]
-    lin = np.stack([M.T for M in Ms])  # lin[d, j, s]: x_j coefficient of (M_d x)_s
-    basis = monomials_of_degree(m, 1)
-    var = [b.exponents.index(1) for b in basis]
-    Q = lin[:, var][:, :, var]
-    while True:
-        yield basis, Q
-        nxt = monomials_of_degree(m, basis[0].degree + 1)
-        index_of = {b: i for i, b in enumerate(nxt)}
-        prev_index = {b: i for i, b in enumerate(basis)}
-        first = [next(s for s, e in enumerate(a.exponents) if e) for a in nxt]
-        prev = [prev_index[a.replace(s, a.exponents[s] - 1)]
-                for a, s in zip(nxt, first)]
-        A = Q[:, :, prev]
-        out = np.zeros((len(Q) + len(Ms) - 1, len(nxt), len(nxt)))
-        for j in range(m):
-            up = [index_of[b.replace(j, b.exponents[j] + 1)] for b in basis]
-            for d, B in enumerate(lin[:, j, first]):
-                out[d:d + len(Q), up, :] += A * B
-        while len(out) > 1 and not out[-1].any():
-            out = out[:-1]
-        basis, Q = nxt, out
-
-
-def _solve_degree(op: np.ndarray, rhs: JetVector, basis: list[MultiIndex]) -> JetVector:
-    """Solve ``op u = rhs`` for the homogeneous part u of one degree.
-
-    ``rhs`` is packed onto ``basis`` (component-major, as ``np.kron`` lays
-    out an operator acting on each component) and the solution is returned
-    as jets.  Raises ``np.linalg.LinAlgError`` when ``op`` is singular."""
-    index_of = {b: i for i, b in enumerate(basis)}
-    vec = np.zeros((len(rhs), len(basis)))
-    for i, comp in enumerate(rhs):
-        for idx, c in comp.coeffs.items():
-            vec[i, index_of[idx]] = c
-    sol = np.linalg.solve(op, vec.ravel()).reshape(vec.shape)
-    return JetVector([Jet(rhs.num_vars, rhs.order, dict(zip(basis, row))) for row in sol],
-                     rhs.num_vars, rhs.order)
+    ``Lpows`` is [I, L, L^2, ...] and ``A`` the degree-l diagonal block of
+    D_{Lx} on the graded basis, so F(exp(L tau) x) = exp(tau A) F.  The Beta
+    integral int (1-tau)^p tau^q dtau = p! q!/(p+q+1)! cancels the factorials
+    of both exponentials, leaving sum_{p,q} L^p (x) A^q/(p+q+1)!; A^q = 0 for
+    q > ``top`` = l(depth - 1) (see :func:`_time1`).  kron is linear in its
+    second factor, so the q-sum is taken before it."""
+    Apows = [np.eye(len(A))]
+    for _ in range(top):
+        Apows.append(Apows[-1] @ A)
+    return sum(np.kron(P, sum(Aq / math.factorial(p + q + 1) for q, Aq in enumerate(Apows)))
+               for p, P in enumerate(Lpows))
 
 
 def takens_embed_unipotent(H: JetVector, order: int,
@@ -326,10 +298,11 @@ def takens_embed_unipotent(H: JetVector, order: int,
     """Unique formal vector field whose time-1 flow jet matches ``H``.
 
     Requires H(0) = 0 and a unipotent linear part.  The field's linear part
-    is the nilpotent logarithm of the map's linear part; each homogeneous
-    part is found by a dense solve on the degree's coefficient space.  A
-    non-finite coefficient up to ``order`` is refused with
-    :class:`PreconditionError`.
+    is the nilpotent logarithm L of the map's linear part; each homogeneous
+    part is found by a dense solve with the operator of
+    :func:`_takens_operator`, built from the diagonal blocks of one
+    derivation matrix D_{Lx} on the graded basis.  A non-finite coefficient
+    up to ``order`` is refused with :class:`PreconditionError`.
     """
     if order < 1 or order > H.order:
         raise StructuralError(f"order must lie in 1..{H.order}")
@@ -346,22 +319,13 @@ def takens_embed_unipotent(H: JetVector, order: int,
     V = np.zeros_like(target)
     V[:, table.var] = L
     depth = len(Lpows)
-    levels = _substitution_levels([P / math.factorial(d) for d, P in enumerate(Lpows)])
-    next(levels)  # degree 1: the linear part is the logarithm itself
+    lin = _derivation(V, table, order)  # D_{Lx}, block diagonal by degree
 
     for l in range(2, order + 1):
         # V holds degrees < l here; adding F_l adds op F_l at degree l
         part = slice(table.ends[l - 1], table.ends[l])
         known_l = _time1(V, table, l, depth)[:, part]
-
-        _, Q = next(levels)
-        # operator: F -> int_0^1 exp(L(1-tau)) F(exp(L tau) x) dtau; exp(L(1-tau))
-        # carries L^p/p!, and the Beta integral int (1-tau)^p tau^d dtau =
-        # p! d!/(p+d+1)! cancels the p!; kron is linear in its second factor,
-        # so the d-sum is taken before it
-        op = sum(np.kron(P, np.tensordot([math.factorial(d) / math.factorial(p + d + 1)
-                                          for d in range(len(Q))], Q, axes=1))
-                 for p, P in enumerate(Lpows))
+        op = _takens_operator(Lpows, lin[part, part].toarray(), l * (depth - 1))
         try:
             F_l = np.linalg.solve(op, (target[:, part] - known_l).ravel())
         except np.linalg.LinAlgError as exc:

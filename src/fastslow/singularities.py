@@ -20,12 +20,12 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DegenerateCaseError, PreconditionError, StructuralError
-from .jets import (Jet, JetVector, MultiIndex, _compose, jet_linear_map,
+from .jets import (Jet, JetVector, MultiIndex, _compose, _composition_matrix,
+                   _graded_coeffs, _graded_jets, _graded_table, jet_linear_map,
                    jet_matrix_mul, jet_mul, jet_partial, jet_reciprocal,
                    jetvector_compose, monomials_of_degree)
 from .model import FastSlowMapSpec, extended_map_jets, nontrivial_multipliers
-from .embedding import (EmbeddingResult, _solve_degree, _substitution_levels,
-                        takens_embed_unipotent)
+from .embedding import EmbeddingResult, takens_embed_unipotent
 from .tols import DEFAULT_TOLS, Tolerances
 
 __all__ = [
@@ -628,7 +628,9 @@ def center_manifold_restricted_map(nf: ContactNormalForm,
     order and build the restricted (k+1)-dimensional map on it.
 
     Each degree yields a Sylvester-type linear system whose operator is
-    invertible because the framed fast block has no critical multiplier."""
+    invertible because the framed fast block has no critical multiplier.  Its
+    substitution part is a diagonal block of the composition matrix of the
+    linear return map on the graded basis (see :mod:`fastslow.jets`)."""
     tols = tols or nf.spec.tols
     spec, frame = nf.spec, nf.frame
     n, k, r = nf.n, nf.k, nf.order
@@ -636,6 +638,8 @@ def center_manifold_restricted_map(nf: ContactNormalForm,
     order = r if order is None else order
     if order > r:
         raise StructuralError(f"order {order} exceeds the jet order {r}")
+    if order < 1:
+        raise StructuralError(f"order must be at least 1, got {order}")
     mred = k + 2  # (x, u, eps)
 
     x_red = [Jet.variable(mred, r, i) for i in range(k)]
@@ -664,19 +668,28 @@ def center_manifold_restricted_map(nf: ContactNormalForm,
     M[k + 1, k + 1] = 1.0
 
     W = JetVector.zeros(p - 1, mred, r)
-    levels = _substitution_levels([M])
-    # pass d needs degree d of the defect only; with p = 1, W is empty
-    for d in range(1, order + 1 if p > 1 else 1):
-        _, defect = on_graph(W, d)
-        basis, Q = next(levels)
-        D = len(basis)
-        T = np.kron(btilde, np.eye(D)) - np.kron(np.eye(p - 1), Q[0])
-        try:
-            W = W + _solve_degree(T, defect.degree_part(d), basis)
-        except np.linalg.LinAlgError as exc:
-            raise PreconditionError(
-                f"graph solve singular at degree {d}: offending "
-                f"eigenvalues {np.round(lam_w, 12)}") from exc
+    if p > 1:  # with p = 1, W is empty
+        # Q_0 at degree d is the transposed degree-d block of the composition
+        # matrix of the linear inner vector x -> M x
+        table = _graded_table(mred, r)
+        inner = np.zeros((mred, len(table.monomials)))
+        inner[:, table.var] = M
+        phi = _composition_matrix(inner, table, table, order)
+        coeffs = np.zeros((p - 1, len(table.monomials)))
+        for d in range(1, order + 1):
+            # pass d needs degree d of the defect only
+            _, defect = on_graph(W, d)
+            part = slice(table.ends[d - 1], table.ends[d])
+            T = (np.kron(btilde, np.eye(part.stop - part.start))
+                 - np.kron(np.eye(p - 1), phi[part, part].T))
+            try:
+                sol = np.linalg.solve(T, _graded_coeffs(defect, table)[:, part].ravel())
+            except np.linalg.LinAlgError as exc:
+                raise PreconditionError(
+                    f"graph solve singular at degree {d}: offending "
+                    f"eigenvalues {np.round(lam_w, 12)}") from exc
+            coeffs[:, part] = sol.reshape(p - 1, -1)
+            W = JetVector(_graded_jets(coeffs, table, mred, r), mred, r)
     restricted, defect = on_graph(W, r)
     residual = defect.degree_cap(order).max_abs()
 

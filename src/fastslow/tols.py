@@ -8,6 +8,7 @@ in double precision.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .errors import ParseError
@@ -43,7 +44,8 @@ DEFAULT_TOLS = Tolerances()
 
 
 def with_overrides(tols: Tolerances, pairs: list[str]) -> Tolerances:
-    """Apply ``name=value`` override strings (CLI ``--tol`` flags)."""
+    """Apply ``name=value`` override strings (CLI ``--tol`` flags).  A value
+    that is not a finite, non-negative number is refused."""
     updates: dict[str, float] = {}
     names = {f.name for f in dataclasses.fields(Tolerances)}
     for item in pairs:
@@ -56,4 +58,7 @@ def with_overrides(tols: Tolerances, pairs: list[str]) -> Tolerances:
             updates[name] = float(value)
         except ValueError:
             raise ParseError(f"bad tolerance value {value!r} for {name}") from None
+        if not math.isfinite(updates[name]) or updates[name] < 0.0:
+            raise ParseError(f"bad tolerance override {item!r}: the value must be "
+                             f"finite and non-negative")
     return dataclasses.replace(tols, **updates)

@@ -88,6 +88,68 @@ def make_contact3d_spec(order=5):
                            base_point=np.zeros(3))
 
 
+def make_contact4d_k1_spec(order=5):
+    """n = 4, k = 1 regular contact point at the origin with two extra
+    multipliers (0.7 and 0.4) whose w-block is coupled:
+    DfN(0) = [[0, 0, 0], [0, -1/2, 1/5], [0, 1/10, -2/5]]."""
+    def J4(terms):
+        return Jet.from_terms(4, order, terms)
+
+    f = JetVector([
+        J4({(0, 1, 0, 0): 1, (0, 2, 0, 0): 1, (2, 0, 0, 0): 0.25, (1, 0, 1, 0): 0.1,
+            (0, 0, 0, 2): 0.05, (1, 0, 0, 1): 0.03}),
+        J4({(0, 0, 1, 0): 1, (1, 1, 0, 0): 0.1, (2, 0, 0, 0): 0.08}),
+        J4({(0, 0, 0, 1): 1, (1, 0, 1, 0): 0.05, (2, 0, 0, 0): 0.06, (0, 1, 1, 0): 0.04}),
+    ])
+    N = (
+        (J4({(0, 0, 0, 0): 1, (0, 1, 0, 0): 0.1}), J4({(1, 0, 0, 0): 0.05}),
+         J4({(0, 0, 1, 0): 0.02})),
+        (J4({(1, 0, 0, 0): 0.1}), J4({(0, 0, 0, 1): 0.02}), J4({})),
+        (J4({(0, 1, 0, 0): 0.03}), J4({(0, 0, 0, 0): -0.5, (1, 0, 0, 0): 0.1}),
+         J4({(0, 0, 0, 0): 0.2})),
+        (J4({(0, 0, 1, 0): 0.02}), J4({(0, 0, 0, 0): 0.1}),
+         J4({(0, 0, 0, 0): -0.4, (1, 0, 0, 0): 0.05})),
+    )
+    G = JetVector([
+        Jet.from_terms(5, order, {(0, 0, 0, 0, 0): 1, (0, 0, 0, 0, 1): 0.1,
+                                  (1, 0, 0, 0, 0): 0.05}),
+        Jet.from_terms(5, order, {(0, 0, 0, 0, 0): 0.3, (1, 0, 0, 0, 0): 0.2,
+                                  (0, 1, 0, 0, 0): 0.1}),
+        Jet.from_terms(5, order, {(0, 1, 0, 0, 0): 0.1, (0, 0, 0, 0, 1): 0.05}),
+        Jet.from_terms(5, order, {(0, 0, 0, 0, 0): -0.2, (0, 0, 1, 0, 0): 0.1}),
+    ])
+    return FastSlowMapSpec(n=4, k=1, order=order, N=N, f=f, G=G,
+                           base_point=np.zeros(4))
+
+
+def make_contact4d_k2_spec(order=5):
+    """n = 4, k = 2 regular contact point at the origin (reduced variables
+    (x_1, x_2, u, eps)) with one extra multiplier, 0.5:
+    DfN(0) = [[0, 0], [0, -1/2]]."""
+    def J4(terms):
+        return Jet.from_terms(4, order, terms)
+
+    f = JetVector([
+        J4({(0, 0, 1, 0): 1, (0, 0, 2, 0): 1, (2, 0, 0, 0): 0.25, (0, 2, 0, 0): 0.1,
+            (1, 0, 0, 1): 0.1, (0, 1, 1, 0): 0.05}),
+        J4({(0, 0, 0, 1): 1, (1, 0, 1, 0): 0.1, (0, 2, 0, 0): 0.08}),
+    ])
+    N = (
+        (J4({(0, 0, 0, 0): 1, (0, 0, 1, 0): 0.1}), J4({(1, 0, 0, 0): 0.05})),
+        (J4({(0, 0, 0, 0): 0.3, (1, 0, 0, 0): 0.05}), J4({(0, 0, 0, 0): 0.1})),
+        (J4({(1, 0, 0, 0): 0.1}), J4({(0, 0, 0, 1): 0.02})),
+        (J4({(0, 1, 0, 0): 0.03}), J4({(0, 0, 0, 0): -0.5, (0, 1, 0, 0): 0.1})),
+    )
+    G = JetVector([
+        Jet.from_terms(5, order, {(0, 0, 0, 0, 0): 1, (0, 0, 0, 0, 1): 0.1}),
+        Jet.from_terms(5, order, {(0, 0, 0, 0, 0): 0.5, (1, 0, 0, 0, 0): 0.1}),
+        Jet.from_terms(5, order, {(0, 0, 0, 0, 0): 0.3, (0, 1, 0, 0, 0): 0.2}),
+        Jet.from_terms(5, order, {(0, 0, 1, 0, 0): 0.1, (0, 0, 0, 0, 1): 0.05}),
+    ])
+    return FastSlowMapSpec(n=4, k=2, order=order, N=N, f=f, G=G,
+                           base_point=np.zeros(4))
+
+
 _JORDAN_BLOCKS = {
     2: [np.zeros((2, 2)),
         np.array([[0.0, 1.0], [0.0, 0.0]])],

@@ -327,6 +327,16 @@ class TestNonFiniteInput:
         err = capsys.readouterr().err
         assert err.startswith("error[ParseError]: ") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("override", ["unit=nan", "unit=-1", "eq_zero=inf"])
+    def test_tol_refused_exit_2(self, fold_file, capsys, override):
+        assert execute_command(["classify", "--spec", fold_file, "--point", "0,0",
+                                "--tol", override]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error[ParseError]: ")
+        assert repr(override) in lines[0]
+        assert captured.out == ""
+
     def test_field_file_refused(self):
         text = "fieldvars 1\norder 2\n[V 1]\n2 : inf\n"
         with pytest.raises(ParseError, match="line 4"):

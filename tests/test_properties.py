@@ -1,5 +1,6 @@
 """Property tests (hypothesis): embedding round trips, the flow's group
-law and its agreement with the jet-product Lie series, the ring laws of
+law and its agreement with the jet-product Lie series, the per-degree
+Takens operator as the first variation of the time-1 map, the ring laws of
 ``jet_mul``, the Leibniz rule, the graded-basis derivation operator, shift
 round trips, evaluator agreement, composition against the sparse oracle and
 its associativity, linear maps of jets and spec-file round trips on
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from fastslow.dynamics import compile_jet_callable
-from fastslow.embedding import _nilpotent_powers, flow_time1_jet, takens_embed_unipotent
+from fastslow.embedding import (_nilpotent_powers, _takens_operator, _time1,
+                                flow_time1_jet, takens_embed_unipotent)
 from fastslow.jets import (Jet, JetVector, _derivation, _graded_coeffs, _graded_jets,
                            _graded_table, jet_compose, jet_linear_map, jet_mul,
                            jet_partial, jet_shift, jetvector_compose, max_coeff_diff,
@@ -87,6 +89,43 @@ def test_time1_flow_matches_lie_series_oracle(V):
     depth = len(_nilpotent_powers(V.linear_matrix(), DEFAULT_TOLS.nilp))
     oracle = lie_series_oracle(V, V.order, depth)
     assert max_coeff_diff(flow, oracle) <= 1e-13 * oracle.max_abs()
+
+
+@st.composite
+def takens_cases(draw):
+    """A nilpotent L and a homogeneous field F of one degree l >= 2.  L is one
+    Jordan chain, or L = P J P^-1 with |P - I| <= 0.2 entrywise, so that P is
+    diagonally dominant, hence invertible, for m <= 4."""
+    m = draw(st.integers(1, 4))
+    l = draw(st.integers(2, 4 if m < 4 else 3))
+    depth = draw(st.integers(1, m))
+    L = np.zeros((m, m))
+    for i in range(depth - 1):
+        L[i, i + 1] = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.5, 1.0))
+    if draw(st.booleans()):
+        entries = draw(st.lists(st.floats(-0.2, 0.2), min_size=m * m, max_size=m * m))
+        P = np.eye(m) + np.reshape(entries, (m, m))
+        L = P @ L @ np.linalg.inv(P)
+    return L, draw(jet_vectors(m, l, m, min_degree=l))
+
+
+@given(takens_cases())
+def test_takens_operator_is_the_first_variation_of_time1(case):
+    # F enters the time-1 map of L x + F nonlinearly only from degree
+    # 2l - 1 > l on, so its degree-l part is exactly the operator applied to F
+    L, F = case
+    m, l = F.num_vars, F.order
+    table = _graded_table(m, l)
+    part = slice(table.ends[l - 1], table.ends[l])
+    Lpows = _nilpotent_powers(L, DEFAULT_TOLS.nilp)
+    V = np.zeros((m, len(table.monomials)))
+    V[:, table.var] = L
+    A = _derivation(V, table, l)[part, part].toarray()
+    op = _takens_operator(Lpows, A, l * (len(Lpows) - 1))
+    V += _graded_coeffs(F, table)
+    want = _time1(V, table, l, len(Lpows))[:, part]
+    got = (op @ V[:, part].ravel()).reshape(m, -1)
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 @st.composite

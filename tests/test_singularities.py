@@ -5,7 +5,7 @@ closed-form coefficient identities."""
 import numpy as np
 import pytest
 
-from fastslow.errors import DegenerateCaseError, PreconditionError
+from fastslow.errors import DegenerateCaseError, PreconditionError, StructuralError
 from fastslow.jets import Jet, JetVector, jet_partial
 from fastslow.model import FastSlowMapSpec, standard_form_2d
 from fastslow.singularities import (CenterManifoldData, NormalFormCoefficients,
@@ -14,7 +14,8 @@ from fastslow.singularities import (CenterManifoldData, NormalFormCoefficients,
                                     classify_planar_singularity,
                                     cm_normal_form_transform, embed_2d,
                                     embed_on_center_manifold, threshold_lambda)
-from conftest import (make_contact3d_spec, make_fold_spec,
+from conftest import (make_contact3d_spec, make_contact4d_k1_spec,
+                      make_contact4d_k2_spec, make_fold_spec,
                       make_pitchfork_spec, make_transcritical_spec,
                       random_contact3d_spec)
 
@@ -279,6 +280,12 @@ class TestCenterManifold:
                        default=0.0)
             assert dust <= 1e-12
 
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_order_below_one_refused(self, contact3d_spec, order):
+        nf = cm_normal_form_transform(contact3d_spec)
+        with pytest.raises(StructuralError, match="at least 1"):
+            center_manifold_restricted_map(nf, order=order)
+
     def test_restricted_multiplier_structure(self, contact3d_spec):
         nf = cm_normal_form_transform(contact3d_spec)
         cm = center_manifold_restricted_map(nf, order=4)
@@ -313,6 +320,21 @@ class TestContactEmbedding:
         assert emb.partials_diff <= 1e-8
         assert emb.quad_closed_diff <= 1e-8
         assert emb.factor_residual <= 1e-8
+
+    @pytest.mark.parametrize("make_spec,components", [
+        (make_contact4d_k1_spec, 2),  # coupled w-block: kron(I_2, Q) in the solve
+        (make_contact4d_k2_spec, 1),  # reduced variables (x_1, x_2, u, eps)
+    ])
+    def test_four_dimensional_pipeline(self, make_spec, components):
+        spec = make_spec()
+        assert check_regular_contact(spec, np.zeros(4)).verdict
+        nf = cm_normal_form_transform(spec)
+        assert nf.rectification_residual <= 1e-12
+        cm = center_manifold_restricted_map(nf, order=4)
+        assert len(cm.W) == components and cm.W.num_vars == spec.k + 2
+        assert cm.invariance_residual <= 1e-10 * max(1.0, cm.W.max_abs())
+        emb = embed_on_center_manifold(cm, order=4)
+        assert emb.contact_ok
 
     def test_linear_restricted_map_embeds_linearly(self):
         # synthetic data: linear unipotent restricted map; the field is
