@@ -12,6 +12,7 @@ Exit status: 0 on success, 2 on assumption/precondition violations
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 
@@ -122,7 +123,10 @@ def _load(args, tols: Tolerances):
     return loaded
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.  Parsing leaves it
+    unchanged: argparse copies the ``--tol`` list default before appending."""
     parser = argparse.ArgumentParser(
         prog="fastslow",
         description="analysis of discrete fast-slow maps from map-spec files")

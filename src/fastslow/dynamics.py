@@ -345,7 +345,10 @@ def branch_selection_experiment(spec: FastSlowMapSpec, case: str, eps: float,
                                 step_cap: int = 2_000_000) -> BranchSelection:
     """Track the incoming attracting slow manifold through the box and label
     the outcome by which outgoing branch (or fast-escape fiber) the orbit is
-    within the matching distance of at exit."""
+    within the matching distance of at exit.  Needs eps > 0: at eps = 0 the
+    orbit has no slow drift and would run out the step cap in place."""
+    if not eps > 0:
+        raise PreconditionError(f"branch selection needs eps > 0, got {eps!r}")
     cls = classify_planar_singularity(spec)
     if cls.case != case:
         raise PreconditionError(

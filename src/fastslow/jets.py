@@ -53,18 +53,37 @@ class MultiIndex:
 
     The ordering is graded lexicographic (compare degree first, then the
     exponent tuple), which is a total order on indices of equal arity.
+
+    Indices are hash-consed: ``MultiIndex(e)`` returns the one instance of
+    its exponent tuple, so ``MultiIndex(e) is MultiIndex(list(e))``, and
+    every jet holding a monomial shares that instance.  The exponents are
+    validated when the instance is first made; a negative exponent is
+    refused on every call, since no such instance is ever stored.  Pickle
+    and ``copy`` go through the constructor and return the shared instance.
     """
 
     __slots__ = ("exponents", "degree", "_hash")
 
-    def __init__(self, exponents: Iterable[int]):
-        exps = tuple(int(e) for e in exponents)
+    def __new__(cls, exponents: Iterable[int]) -> "MultiIndex":
+        key = exponents if type(exponents) is tuple else tuple(exponents)
+        self = _INTERNED.get(key)
+        if self is not None:
+            return self
+        exps = tuple(int(e) for e in key)
+        self = _INTERNED.get(exps)
+        if self is not None:
+            return self
         for e in exps:
             if e < 0:
                 raise StructuralError(f"negative exponent in {exps}")
+        self = super().__new__(cls)
         self.exponents = exps
         self.degree = sum(exps)
         self._hash = hash(exps)
+        return _INTERNED.setdefault(exps, self)
+
+    def __reduce__(self):
+        return MultiIndex, (self.exponents,)
 
     def __hash__(self) -> int:
         return self._hash
@@ -88,6 +107,10 @@ class MultiIndex:
 
     def __repr__(self) -> str:
         return f"MultiIndex{self.exponents}"
+
+
+# exponent tuple -> its one MultiIndex; grows with the distinct monomials used
+_INTERNED: dict[tuple[int, ...], MultiIndex] = {}
 
 
 def _as_index(key, num_vars: int) -> MultiIndex:
@@ -258,7 +281,8 @@ class Jet:
         return jet_partial(self, var)
 
     def evaluate(self, point: Sequence[float]) -> float:
-        return float(_evaluate_terms(_term_table([self]), self.num_vars, point)[0])
+        return _term_sum(((c, idx.exponents) for idx, c in self.coeffs.items()),
+                         _point_coords(point, self.num_vars))
 
     def degree_part(self, degree: int) -> "Jet":
         return Jet(self.num_vars, self.order,
@@ -430,24 +454,33 @@ def _term_table(jets: Iterable[Jet]) -> list[list[tuple[float, tuple[int, ...]]]
     return [[(c, idx.exponents) for idx, c in jet.coeffs.items()] for jet in jets]
 
 
-def _evaluate_terms(table: list[list[tuple[float, tuple[int, ...]]]], num_vars: int,
-                    point: Sequence[float]) -> np.ndarray:
-    """Value at ``point`` of every jet of a :func:`_term_table`."""
+def _point_coords(point: Sequence[float], num_vars: int) -> list[float]:
     if len(point) != num_vars:
         raise StructuralError(
             f"point has {len(point)} coordinates, expected {num_vars}")
-    p = [float(x) for x in point]
+    return [float(x) for x in point]
+
+
+def _term_sum(terms: Iterable[tuple[float, tuple[int, ...]]], p: list[float]) -> float:
+    """Sum of ``c * prod(x ** e)`` over (coefficient, exponents) pairs."""
+    acc = 0.0
+    for c, exps in terms:
+        for x, e in zip(p, exps):
+            if e == 1:
+                c *= x
+            elif e:
+                c *= x ** e
+        acc += c
+    return acc
+
+
+def _evaluate_terms(table: list[list[tuple[float, tuple[int, ...]]]], num_vars: int,
+                    point: Sequence[float]) -> np.ndarray:
+    """Value at ``point`` of every jet of a :func:`_term_table`."""
+    p = _point_coords(point, num_vars)
     out = np.empty(len(table))
     for i, terms in enumerate(table):
-        acc = 0.0
-        for c, exps in terms:
-            for x, e in zip(p, exps):
-                if e == 1:
-                    c *= x
-                elif e:
-                    c *= x ** e
-            acc += c
-        out[i] = acc
+        out[i] = _term_sum(terms, p)
     return out
 
 

@@ -258,6 +258,38 @@ class TestCommands:
         assert outputs[0] == outputs[1]
 
 
+class TestParserReuse:
+    @staticmethod
+    def _in_process(argv, capsys):
+        try:
+            code = execute_command(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def test_cached_parser_keeps_no_state_between_calls(self, fold_file, capsys):
+        # refusals and overrides parsed earlier in the process must leave
+        # the plain calls byte-identical to a fresh interpreter's
+        classify = ["classify", "--spec", fold_file, "--point", "0,0"]
+        reduce = ["reduce", "--spec", fold_file, "--point", "0,0"]
+        assert self._in_process(["classify", "--spec", fold_file], capsys)[0] == 2
+        assert self._in_process(classify + ["--tol", "unit=1e-9", "--tol",
+                                            "eq_zero=1e-12"], capsys)[0] == 0
+        assert self._in_process(reduce + ["--tol", "unit=0.5"], capsys)[0] == 0
+        assert self._in_process(classify + ["--tol", "nope=1"], capsys)[0] == 2
+        src = os.path.dirname(os.path.dirname(fastslow.__file__))
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        for argv in (classify, reduce):
+            code, out, err = self._in_process(argv, capsys)
+            proc = subprocess.run([sys.executable, "-m", "fastslow.cli"] + argv,
+                                  env=env, capture_output=True, timeout=120)
+            assert (code, out.encode(), err.encode()) == \
+                (proc.returncode, proc.stdout, proc.stderr)
+            assert code == 0
+
+
 class TestCommandErrorSurface:
     def test_order_out_of_range_exit_2(self, fold_file, capsys):
         assert execute_command(["embed", "--spec", fold_file,
@@ -271,6 +303,14 @@ class TestCommandErrorSurface:
         assert code == 2
         err = capsys.readouterr().err
         assert "jordan_chevalley_split" in err
+
+    def test_branch_select_zero_eps_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "tc.map"
+        path.write_text(emit_mapspec(make_transcritical_spec()))
+        assert execute_command(["branch-select", "--spec", str(path),
+                                "--eps", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[PreconditionError]: ") and len(err.splitlines()) == 1
 
     def test_missing_file_exit_2(self, capsys):
         assert execute_command(["classify", "--spec", "/nope/missing.map",

@@ -176,6 +176,14 @@ class TestBranchSelection:
                                               "Pitchfork", 1e-3, side=side)
             assert sel.label == "BothToCenter"
 
+    @pytest.mark.parametrize("eps", [0.0, -1e-3])
+    def test_nonpositive_eps_refused(self, eps):
+        # at eps = 0 the orbit has no drift: it used to run the whole
+        # 2e6-step cap in place before failing
+        with pytest.raises(PreconditionError, match="eps > 0"):
+            branch_selection_experiment(make_pitchfork_spec(0.5, 1.0),
+                                        "Pitchfork", eps)
+
     def test_threshold_band_excluded(self):
         with pytest.raises(PreconditionError, match="exclusion band"):
             branch_selection_experiment(make_transcritical_spec(1.1),

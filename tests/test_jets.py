@@ -1,4 +1,8 @@
-"""Jet-algebra unit tests: frozen examples, ring axioms, calculus rules."""
+"""Jet-algebra unit tests: frozen examples, ring axioms, calculus rules,
+shared index instances and pickling."""
+
+import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -35,6 +39,24 @@ class TestMultiIndex:
     def test_negative_exponent_rejected(self):
         with pytest.raises(StructuralError):
             MultiIndex((1, -1))
+
+    def test_negative_exponent_rejected_on_every_call(self):
+        for _ in range(3):
+            for exps in ((1, -1), [1, -1], (-2,), iter((0, 0, -1))):
+                with pytest.raises(StructuralError):
+                    MultiIndex(exps)
+
+    def test_one_instance_per_exponent_tuple(self):
+        e = (2, 0, 1)
+        a = MultiIndex(e)
+        assert MultiIndex(e) is a
+        assert MultiIndex(list(e)) is a
+        assert MultiIndex(iter(e)) is a
+        assert MultiIndex(np.array(e)) is a
+        assert MultiIndex((1, 0, 1)) + MultiIndex((1, 0, 0)) is a
+        assert MultiIndex((0, 0, 1)).replace(0, 2) is a
+        assert a.exponents == e and type(a.exponents[0]) is int and a.degree == 3
+        assert MultiIndex((2, 0)) is not MultiIndex((0, 2))
 
     def test_monomial_enumeration(self):
         ms = monomials_of_degree(3, 2)
@@ -240,3 +262,47 @@ class TestStructureHelpers:
         assert len(jet.coeffs) == 1  # explicit zeros are never stored
         diff = jet - J(2, 3, {(0, 1): 2.0})
         assert not diff.coeffs
+
+
+def _pickle_round_trip(obj):
+    return pickle.loads(pickle.dumps(obj))
+
+
+def _jet_keys(obj):
+    """Every MultiIndex key of a Jet, a JetVector or a FastSlowMapSpec."""
+    if isinstance(obj, Jet):
+        return list(obj.coeffs)
+    if isinstance(obj, JetVector):
+        return [key for jet in obj for key in jet.coeffs]
+    return ([key for row in obj.N for jet in row for key in jet.coeffs]
+            + _jet_keys(obj.f) + _jet_keys(obj.G))
+
+
+class TestCopyAndPickle:
+    @pytest.mark.parametrize("round_trip", [_pickle_round_trip, copy.deepcopy, copy.copy])
+    def test_round_trips_keep_coefficients(self, round_trip):
+        from conftest import make_contact3d_spec
+        rng = np.random.default_rng(11)
+        jet = random_jet(rng, 3, 4)
+        vec = JetVector([random_jet(rng, 2, 3), random_jet(rng, 2, 3)])
+        spec = make_contact3d_spec()
+        jet2, vec2, spec2 = (round_trip(x) for x in (jet, vec, spec))
+        assert jet2 == jet and jet2.reliable_order == jet.reliable_order
+        assert vec2 == vec
+        assert spec2.N == spec.N and spec2.f == spec.f and spec2.G == spec.G
+        assert np.array_equal(spec2.base_point, spec.base_point)
+        assert spec2.map_apply(spec.base_point + 0.01, 1e-3).tobytes() == \
+            spec.map_apply(spec.base_point + 0.01, 1e-3).tobytes()
+
+    @pytest.mark.parametrize("round_trip", [_pickle_round_trip, copy.deepcopy, copy.copy])
+    def test_round_trips_return_the_shared_indices(self, round_trip):
+        from conftest import make_contact3d_spec
+        rng = np.random.default_rng(12)
+        idx = MultiIndex((3, 1))
+        assert round_trip(idx) is idx
+        for obj in (random_jet(rng, 3, 4),
+                    JetVector([random_jet(rng, 2, 3), random_jet(rng, 2, 3)]),
+                    make_contact3d_spec()):
+            keys = _jet_keys(round_trip(obj))
+            assert keys
+            assert all(key is MultiIndex(key.exponents) for key in keys)

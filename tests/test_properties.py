@@ -4,13 +4,18 @@ Takens operator as the first variation of the time-1 map, the ring laws of
 ``jet_mul``, the Leibniz rule, the graded-basis derivation operator, shift
 round trips, evaluator agreement, composition against the sparse oracle and
 its associativity, linear maps of jets and spec-file round trips on
-generated inputs; and the contact chart against its two-stage
-construction."""
+generated inputs; the contact chart against its two-stage construction;
+and a fuzz of the command line over generated argv and spec text."""
+
+import contextlib
+import io
+import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from fastslow.cli import execute_command
 from fastslow.dynamics import compile_jet_callable
 from fastslow.embedding import (_nilpotent_powers, _takens_operator, _time1,
                                 flow_time1_jet, takens_embed_unipotent)
@@ -23,7 +28,7 @@ from fastslow.singularities import _newton_rectify, cm_normal_form_transform
 from fastslow.specfiles import emit_mapspec, parse_mapspec
 from fastslow.tols import DEFAULT_TOLS
 from conftest import (compose_oracle, lie_series_oracle, make_contact3d_spec,
-                      make_fold_spec)
+                      make_fold_spec, make_pitchfork_spec, make_transcritical_spec)
 
 COEFF = st.floats(-0.8, 0.8, allow_nan=False, allow_subnormal=False)
 
@@ -215,6 +220,28 @@ def test_compiled_evaluator_matches_jetvector(case):
 
 
 @st.composite
+def jets_and_points(draw):
+    """One jet with monomials up to degree 6, so that every exponent branch
+    of the evaluator (0, 1 and powers) is taken, and a point that may leave
+    the unit box."""
+    m = draw(st.integers(1, 4))
+    order = draw(st.integers(1, 6 if m <= 2 else 4))
+    (jet,) = draw(jet_vectors(m, order, 1))
+    point = draw(st.lists(st.floats(-2.0, 2.0, allow_subnormal=False),
+                          min_size=m, max_size=m))
+    return jet, point
+
+
+@given(jets_and_points())
+def test_jet_evaluate_is_bitwise_the_jetvector_row(case):
+    jet, point = case
+    value = jet.evaluate(point)
+    assert type(value) is float
+    row = JetVector([jet]).evaluate(point)
+    assert np.array([value]).tobytes() == row.tobytes()
+
+
+@st.composite
 def compose_chains(draw):
     """f in a variables, g: a components in b variables, h: b components
     in c variables, with a, b, c three different arities; g and h have no
@@ -377,3 +404,139 @@ def test_parse_emit_round_trip(spec):
     assert again.f == spec.f
     assert again.G == spec.G
     assert again.base_point.tobytes() == spec.base_point.tobytes()
+
+
+# -- CLI fuzz ------------------------------------------------------------------
+
+# each command's options besides --spec and --tol; "@out" names a file
+COMMAND_OPTIONS = {
+    "classify": ("--point",),
+    "reduce": ("--point", "--out"),
+    "embed": ("--order", "--out"),
+    "verify-reduced": ("--point", "--order", "--out"),
+    "fold-exit": ("--eps", "--rho", "--observable", "--out"),
+    "branch-select": ("--eps", "--case", "--side"),
+    "contact": ("--point", "--out"),
+    "center-manifold": ("--order", "--out"),
+    "selftest": (),
+}
+ORBIT_COMMANDS = ("fold-exit", "branch-select")
+JUNK = ("", "x", "-", "--", "nan", "inf", "-inf", "-1", "0", "1", "2", "1e400",
+        "0.5", "0,0", ",", "1:2", "--bogus", "--version", "-h", "bogus", "é", " ")
+SPEC_JUNK = ("", "x", "nan", "inf", "-1", "0", "1", "2", "0.5", "1e400", ":",
+             "[", "]", "[f 9]", "dims", "order")
+OPTION_VALUES = {
+    "--point": ("0,0", "0,0,0", "0.1,0.01", "0.1", "a,b", "nan,0", "1e400,0", "0,0,0,0"),
+    "--order": ("1", "2", "3", "4", "0", "-1", "99", "x"),
+    "--tol": ("unit=1e-6", "eq_zero=1e-12", "unit=nan", "nope=1", "unit", "=", "unit=-1"),
+    "--rho": ("0.1", "0.05", "0", "-1", "nan", "x"),
+    "--eps": ("1e-2:4e-2:log:3", "0.05", "0.02", "1e-2:1e-3:log:3", "1:2", "nan", "0", "-1"),
+    "--observable": ("exit", "fiber", "x"),
+    "--case": ("auto", "Transcritical", "Pitchfork", "Fold"),
+    "--side": ("plus", "minus", "up"),
+    "--out": ("@out",),
+}
+ERROR_LINE = re.compile(r"error\[[A-Za-z]+\]: [^\n]*\n")
+
+
+SPEC_TEXTS = {name: emit_mapspec(make()) for name, make in (
+    ("fold", make_fold_spec), ("transcritical", make_transcritical_spec),
+    ("pitchfork", make_pitchfork_spec), ("contact3d", make_contact3d_spec))}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A directory holding the canonical spec files."""
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, text in SPEC_TEXTS.items():
+        (root / f"{name}.map").write_text(text)
+    return root
+
+
+@st.composite
+def mutated_spec_texts(draw):
+    """(name, text): a canonical spec text with one to three line-level or
+    token-level mutations."""
+    name = draw(st.sampled_from(sorted(SPEC_TEXTS)))
+    lines = SPEC_TEXTS[name].split("\n")
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(("delete", "duplicate", "token", "token", "cut")))
+        if kind == "delete" and len(lines) > 1:
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "token":
+            tokens = lines[i].split(" ")
+            j = draw(st.integers(0, len(tokens) - 1))
+            tokens[j] = draw(st.sampled_from(SPEC_JUNK))
+            lines[i] = " ".join(tokens)
+        else:
+            lines[i] = lines[i][:draw(st.integers(0, len(lines[i])))]
+    return name, "\n".join(lines)
+
+
+@st.composite
+def cli_argvs(draw):
+    """A command with its own options, each present three times in four, on
+    a canonical spec; sometimes an option of another command or a junk
+    token.  "@name" stands for a file in the fuzz directory."""
+    command = draw(st.sampled_from(sorted(COMMAND_OPTIONS)))
+    argv = [command]
+    if command != "selftest" and draw(st.integers(0, 9)) > 0:
+        argv += ["--spec", "@" + draw(st.sampled_from(sorted(SPEC_TEXTS)))]
+    options = [o for o in COMMAND_OPTIONS[command] if draw(st.integers(0, 3)) > 0]
+    options += ["--tol"] * draw(st.integers(0, 2))
+    if draw(st.integers(0, 9)) == 0:
+        options.append(draw(st.sampled_from(sorted(OPTION_VALUES))))
+    for option in options:
+        argv += [option, draw(st.sampled_from(OPTION_VALUES[option]))]
+    if draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(JUNK)))
+    return argv
+
+
+def _check_cli_exit(argv, fuzz_dir):
+    """Run one in-process call: it ends in exit 0, 1 or 2 and lets no
+    exception escape.  A failing run writes no traceback; outside argparse
+    refusals its stderr is exactly one ``error[...]`` line."""
+    argv = [str(fuzz_dir / (a[1:] + (".csv" if a == "@out" else ".map")))
+            if a.startswith("@") else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    refused = False
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = execute_command(argv)
+        except SystemExit as exc:
+            code, refused = exc.code, True
+    stderr = err.getvalue()
+    assert code in (0, 1, 2), (argv, stderr)
+    assert "Traceback" not in stderr
+    if code != 0 and not refused:
+        assert ERROR_LINE.fullmatch(stderr), (argv, stderr)
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+@given(cli_argvs())
+@example(["branch-select", "--spec", "@pitchfork", "--eps", "0"])
+@example(["classify", "--spec", "@fold", "--point", "a,b"])
+def test_cli_fuzz_argv(fuzz_dir, argv):
+    _check_cli_exit(argv, fuzz_dir)
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_spec_texts(),
+       st.sampled_from(sorted(set(COMMAND_OPTIONS) - set(ORBIT_COMMANDS) - {"selftest"})),
+       st.booleans())
+def test_cli_fuzz_spec_text(fuzz_dir, spec, command, out):
+    """The pipelines on mutated spec text, with valid options.  The orbit
+    commands are left out: a mutated drift can hold an orbit in place for
+    the whole 2e6-step cap, which is a long run, not an error."""
+    name, text = spec
+    (fuzz_dir / "mutated.map").write_text(text)
+    argv = [command, "--spec", "@mutated"]
+    if "--point" in COMMAND_OPTIONS[command]:
+        argv += ["--point", "0,0,0" if name == "contact3d" else "0,0"]
+    if out and "--out" in COMMAND_OPTIONS[command]:
+        argv += ["--out", "@out"]
+    _check_cli_exit(argv, fuzz_dir)
