@@ -113,13 +113,14 @@ def _finite_option(value: float, name: str) -> float:
     return value
 
 
-def _load(args, tols: Tolerances):
+def _load(args, tols: Tolerances, least_order: int = 1):
     with open(args.spec, encoding="utf-8") as fh:
         loaded = parse_mapspec(fh.read(), tols=tols)
     order = getattr(args, "order", None)
-    if order is not None and not 1 <= order <= loaded.spec.order:
+    if order is not None and not least_order <= order <= loaded.spec.order:
         raise ParseError(
-            f"--order must lie in 1..{loaded.spec.order} (the spec's jet order)")
+            f"--order must lie in {least_order}..{loaded.spec.order} "
+            "(the spec's jet order)")
     return loaded
 
 
@@ -318,7 +319,8 @@ def _cmd_contact(args, tols) -> int:
 
 
 def _cmd_center_manifold(args, tols) -> int:
-    loaded = _load(args, tols)
+    # the embedding's structure checks read quadratic coefficients
+    loaded = _load(args, tols, least_order=2)
     spec = loaded.spec
     order = args.order or spec.order - 1
     nf = cm_normal_form_transform(spec, tols)

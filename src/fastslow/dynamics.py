@@ -8,6 +8,12 @@ selection.  All orbits are deterministic; every observable is interpolated
 linearly between the two iterates straddling the measurement face, which is
 the stable choice for discrete orbits whose last interior iterate lands an
 eps-dependent distance from the face.
+
+Every orbit steps through one loop, ``_walk``: it calls ``_MapRunner.step``
+until a stop test on the last two points holds or a step budget runs out,
+and returns those two points.  Only ``iterate_map_orbit`` and
+``track_slow_manifold``, which return orbits, keep the points in between;
+the two experiments hold two points whatever the orbit's length.
 """
 
 from __future__ import annotations
@@ -127,24 +133,46 @@ class _MapRunner:
         return self.base + self._eval(np.append(d, eps))
 
 
+def _walk(runner: _MapRunner, z: np.ndarray, eps: float, budget: int,
+          stop=None, keep: list | None = None):
+    """The one orbit loop: step from z until stop(prev, z) holds or budget
+    steps are taken.  Returns (prev, z, stopped, steps): the last two points
+    (prev is z when no step was taken), whether the stop test ended the
+    walk, and the steps taken.  Every new point is appended to keep when
+    given; otherwise only the last two are held."""
+    prev = z
+    for steps in range(1, budget + 1):
+        prev, z = z, runner.step(z, eps)
+        if keep is not None:
+            keep.append(z)
+        if stop is not None and stop(prev, z):
+            return prev, z, True, steps
+    return prev, z, False, max(budget, 0)
+
+
+def _walk_out_of(box: Box, runner: _MapRunner, z: np.ndarray, eps: float,
+                 budget: int, keep: list | None = None):
+    """Walk from a start inside the box to the first point outside it.
+    Returns (that point, whether the orbit left within budget steps)."""
+    if not box.contains(z):
+        raise PreconditionError(f"start point {z} is outside the box")
+    _, z, exited, _ = _walk(runner, z, eps, budget,
+                            lambda prev, z: not box.contains(z), keep)
+    return z, exited
+
+
 def iterate_map_orbit(spec: FastSlowMapSpec, z0, eps: float, box: Box,
                       max_steps: int) -> Orbit:
     """Iterate the full map until the orbit leaves the box (the first
-    outside point is recorded) or the step cap is reached."""
-    if eps < 0:
-        raise PreconditionError("eps must be nonnegative")
+    outside point is recorded) or the step cap is reached.  Every point is
+    kept; eps must be finite and nonnegative."""
+    if not (math.isfinite(eps) and eps >= 0):
+        raise PreconditionError(f"eps must be finite and nonnegative, got {eps!r}")
     z = np.asarray(z0, dtype=float)
-    if not box.contains(z):
-        raise PreconditionError(f"start point {z} is outside the box")
-    runner = _MapRunner(spec)
-    pts = [z.copy()]
-    for _ in range(max_steps):
-        z = runner.step(z, eps)
-        pts.append(z.copy())
-        if not box.contains(z):
-            return Orbit(points=np.array(pts), eps=eps, exited=True,
-                         exit_edge=box.exit_face(z))
-    return Orbit(points=np.array(pts), eps=eps, exited=False, exit_edge=None)
+    pts = [z]
+    z, exited = _walk_out_of(box, _MapRunner(spec), z, eps, max_steps, pts)
+    return Orbit(points=np.array(pts), eps=eps, exited=exited,
+                 exit_edge=box.exit_face(z) if exited else None)
 
 
 def integrate_time1(V, z0, rtol: float = 1e-12, atol: float = 1e-12) -> np.ndarray:
@@ -187,23 +215,20 @@ def track_slow_manifold(spec: FastSlowMapSpec, eps: float, x_start: float,
     return the post-transient points as the numerical slow-manifold sample.
 
     Stops at the first iterate with x > stop_x when given, else after
-    max_steps."""
+    max_steps.  eps must be finite and nonnegative."""
     if spec.n != 2:
         raise PreconditionError("slow-manifold tracking is planar (n = 2)")
-    z = _seed_on_manifold(spec, x_start, eps, y_guess)
+    if not (math.isfinite(eps) and eps >= 0):
+        raise PreconditionError(f"eps must be finite and nonnegative, got {eps!r}")
     runner = _MapRunner(spec)
-    for _ in range(transient):
-        z = runner.step(z, eps)
-    pts = [z.copy()]
-    for _ in range(max_steps):
-        z = runner.step(z, eps)
-        pts.append(z.copy())
-        if stop_x is not None and z[0] > stop_x:
-            break
-    else:
-        if stop_x is not None:
-            raise ExperimentError(
-                f"orbit did not reach x = {stop_x} within {max_steps} steps")
+    _, z, _, _ = _walk(runner, _seed_on_manifold(spec, x_start, eps, y_guess),
+                       eps, transient)
+    pts = [z]
+    stop = None if stop_x is None else (lambda prev, z: z[0] > stop_x)
+    _, _, reached, _ = _walk(runner, z, eps, max_steps, stop, pts)
+    if stop_x is not None and not reached:
+        raise ExperimentError(
+            f"orbit did not reach x = {stop_x} within {max_steps} steps")
     return np.array(pts)
 
 
@@ -246,7 +271,19 @@ def fold_exit_experiment(spec: FastSlowMapSpec, rho: float, eps_grid,
     crossing of the critical fiber x = base instead; it tracks the leading
     power on coarser eps grids because the exit level carries the slow
     logarithmic correction of the corner analysis.
+
+    rho and every grid entry must be finite and > 0.  Each orbit is walked
+    to its first crossing of the observable level and then on to the face
+    x = base + rho, holding two points; an eps whose orbit does not reach
+    that face within ``step_cap`` steps is excluded from the fit.
     """
+    if not (math.isfinite(rho) and rho > 0):
+        raise PreconditionError(f"fold exit needs a finite rho > 0, got {rho!r}")
+    eps_values = [float(eps) for eps in eps_grid]
+    for eps in eps_values:
+        if not (math.isfinite(eps) and eps > 0):
+            raise PreconditionError(
+                f"fold exit needs every eps finite and > 0, got {eps!r}")
     cls = classify_planar_singularity(spec)
     if cls.case != "Fold":
         raise PreconditionError(
@@ -265,27 +302,23 @@ def fold_exit_experiment(spec: FastSlowMapSpec, rho: float, eps_grid,
 
     runner = _MapRunner(spec)
     eps_ok, values, excluded = [], [], []
-    for eps in eps_grid:
-        eps = float(eps)
-        z = _seed_on_manifold(spec, x_start, eps)
-        for _ in range(transient):
-            z = runner.step(z, eps)
-        crossing = None
-        prev = z
-        for _ in range(step_cap):
-            z = runner.step(prev, eps)
-            if crossing is None and prev[0] <= level < z[0]:
-                crossing = _interpolate_crossing(prev, z, 0, level)
-            if z[0] > stop:
-                break
-            prev = z
-        else:
+    for eps in eps_values:
+        _, z, _, _ = _walk(runner, _seed_on_manifold(spec, x_start, eps), eps,
+                           transient)
+        # to the first crossing of the observable level, or to the stop
+        # face when no crossing comes first
+        prev, z, hit, steps = _walk(
+            runner, z, eps, step_cap,
+            lambda prev, z: prev[0] <= level < z[0] or z[0] > stop)
+        if hit and not z[0] > stop:  # fiber level: walk on to the stop face
+            _, _, hit, _ = _walk(runner, z, eps, step_cap - steps,
+                                 lambda prev, z: z[0] > stop)
+        if not hit:
             excluded.append(eps)
             continue
-        if crossing is None:  # stop face reached before the observable level
-            crossing = _interpolate_crossing(prev, z, 0, level)
         eps_ok.append(eps)
-        values.append(crossing[1] - spec.base_point[1])
+        values.append(_interpolate_crossing(prev, z, 0, level)[1]
+                      - spec.base_point[1])
     if excluded and not eps_ok:
         raise ExperimentError("no eps value produced an exit within the step cap")
     return fit_powerlaw(eps_ok, values, excluded=excluded)
@@ -346,7 +379,9 @@ def branch_selection_experiment(spec: FastSlowMapSpec, case: str, eps: float,
     """Track the incoming attracting slow manifold through the box and label
     the outcome by which outgoing branch (or fast-escape fiber) the orbit is
     within the matching distance of at exit.  Needs eps > 0: at eps = 0 the
-    orbit has no slow drift and would run out the step cap in place."""
+    orbit has no slow drift and would run out the step cap in place.  The
+    transient and the walk to the box face share one compiled map and hold
+    two points, so memory does not grow with the orbit's length."""
     if not eps > 0:
         raise PreconditionError(f"branch selection needs eps > 0, got {eps!r}")
     cls = classify_planar_singularity(spec)
@@ -386,13 +421,11 @@ def branch_selection_experiment(spec: FastSlowMapSpec, case: str, eps: float,
     if rd.valid:
         z = z + eps * rd.reduced_field
     runner = _MapRunner(spec)
-    for _ in range(transient):
-        z = runner.step(z, eps)
-    orbit = iterate_map_orbit(spec, z, eps, box, max_steps=step_cap)
-    if not orbit.exited:
+    _, z, _, _ = _walk(runner, z, eps, transient)
+    z_exit, exited = _walk_out_of(box, runner, z, eps, step_cap)
+    if not exited:
         raise ExperimentError(f"orbit did not leave the box in {step_cap} steps")
-    z_exit = orbit.points[-1]
-    edge = orbit.exit_edge
+    edge = box.exit_face(z_exit)
     axis_fixed = 0 if edge.startswith(("x", "z1")) else 1
     free = 1 - axis_fixed
     roots = _face_roots(spec, z_exit, axis_fixed, box)

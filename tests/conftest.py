@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from fastslow.dynamics import _MapRunner, _interpolate_crossing
 from fastslow.jets import (Jet, JetVector, MultiIndex, jet_mul, jet_partial,
                            monomials_of_degree)
 from fastslow.model import FastSlowMapSpec, standard_form_2d
@@ -231,6 +234,53 @@ def compose_oracle(outer, inner):
         for i2, c2 in term.coeffs.items():
             acc[i2] = acc.get(i2, 0.0) + c * c2
     return Jet(m, order, acc, reliable)
+
+
+@dataclass
+class OracleOrbit:
+    points: np.ndarray          # post-transient start, then every step
+    end: int | None             # index of the first point past the stop
+    exit_face: str | None       # its box face, when walking out of a box
+    crossing: np.ndarray | None  # where the orbit crosses x = level
+
+
+def orbit_oracle(spec, z, eps, step_cap, transient=10, box=None, stop_x=None,
+                 level=None):
+    """Reference for the orbit loop of ``dynamics``: ``transient`` steps of
+    ``_MapRunner.step`` from z, then steps until a point leaves ``box`` (or
+    passes x > stop_x) or ``step_cap`` steps are taken, keeping every
+    point.  After the walk, the first point past the stop, its exit face
+    and the crossing of x = level are read off the whole array: the
+    crossing interpolates the first pair with x_i <= level < x_{i+1} up to
+    that point, or else its last pair.  Slow and memory-hungry; for tests
+    only."""
+    runner = _MapRunner(spec)
+    for _ in range(transient):
+        z = runner.step(z, eps)
+    pts = [z]
+    for _ in range(step_cap):
+        pts.append(runner.step(pts[-1], eps))
+        if (not box.contains(pts[-1])) if box is not None else pts[-1][0] > stop_x:
+            break
+    pts = np.array(pts)
+    if box is not None:
+        lo, hi = np.array(box.bounds).T
+        past = ~np.all((lo <= pts) & (pts <= hi), axis=1)
+    else:
+        past = pts[:, 0] > stop_x
+    past[0] = False  # the start is never tested
+    ends = np.flatnonzero(past)
+    if not ends.size:
+        return OracleOrbit(pts, None, None, None)
+    end = int(ends[0])
+    crossing = None
+    if level is not None:
+        xs = pts[:end + 1, 0]
+        hits = np.flatnonzero((xs[:-1] <= level) & (level < xs[1:]))
+        k = int(hits[0]) if hits.size else end - 1
+        crossing = _interpolate_crossing(pts[k], pts[k + 1], 0, level)
+    return OracleOrbit(pts, end, box.exit_face(pts[end]) if box is not None else None,
+                       crossing)
 
 
 def random_contact3d_spec(rng, order=5):

@@ -312,6 +312,25 @@ class TestCommandErrorSurface:
         err = capsys.readouterr().err
         assert err.startswith("error[PreconditionError]: ") and len(err.splitlines()) == 1
 
+    def test_fold_exit_negative_rho_exit_2(self, fold_file, capsys):
+        # used to exit 0 with a table extrapolated from the first step
+        assert execute_command(["fold-exit", "--spec", fold_file, "--rho", "-1",
+                                "--eps", "1e-3:1e-2:log:3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error[PreconditionError]: ")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_center_manifold_order_1_exit_2(self, tmp_path, capsys):
+        # order 1 used to exit 1 from the embedding's structure checks
+        path = tmp_path / "c3.map"
+        path.write_text(emit_mapspec(make_contact3d_spec()))
+        assert execute_command(["center-manifold", "--spec", str(path),
+                                "--order", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[ParseError]: ") and "2..5" in err
+        assert len(err.splitlines()) == 1
+
     def test_missing_file_exit_2(self, capsys):
         assert execute_command(["classify", "--spec", "/nope/missing.map",
                                 "--point", "0,0"]) == 2

@@ -1,6 +1,8 @@
 """Dynamics tests: orbits, reference integration, slow-manifold tracking,
 and the three scaling experiments."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,13 @@ class TestOrbits:
         with pytest.raises(PreconditionError):
             iterate_map_orbit(fold_spec, [2.0, 0.0],
                               0.1, Box(((-1, 1), (-1, 1))), 10)
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, -1e-3])
+    def test_bad_eps_refused(self, fold_spec, eps):
+        # a nan eps used to give exited=True with no exit edge after one step
+        with pytest.raises(PreconditionError, match="finite and nonnegative"):
+            iterate_map_orbit(fold_spec, [-0.3, 0.09], eps,
+                              Box(((-1, 1), (-1, 1))), 10)
 
 
 class TestIntegrator:
@@ -99,6 +108,11 @@ class TestTracking:
         with pytest.raises(PreconditionError, match="not attracting"):
             track_slow_manifold(fold_spec, 1e-3, 0.3, max_steps=10)
 
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, -1e-3])
+    def test_bad_eps_refused(self, fold_spec, eps):
+        with pytest.raises(PreconditionError, match="finite and nonnegative"):
+            track_slow_manifold(fold_spec, eps, -0.5, max_steps=10)
+
 
 class TestFoldExit:
     def test_exit_experiment_protocol(self, fold_spec):
@@ -128,6 +142,19 @@ class TestFoldExit:
         b = fold_exit_experiment(fold_spec, 0.1, grid)
         assert a.observables == b.observables  # bit-identical
         assert a.slope == b.slope
+
+    @pytest.mark.parametrize("bad", [-1e-3, 0.0, np.nan, np.inf])
+    def test_bad_grid_entry_refused(self, fold_spec, bad):
+        # -1e-3 used to end in a raw LinAlgError, and 0 ran the whole
+        # 2e6-step cap before it was excluded
+        with pytest.raises(PreconditionError, match="every eps finite and > 0"):
+            fold_exit_experiment(fold_spec, 0.1, [1e-3, 2e-3, bad])
+
+    @pytest.mark.parametrize("rho", [-1.0, 0.0, np.nan, np.inf])
+    def test_bad_rho_refused(self, fold_spec, rho):
+        # rho = -1 used to fit levels extrapolated from the first step
+        with pytest.raises(PreconditionError, match="rho > 0"):
+            fold_exit_experiment(fold_spec, rho, [1e-3, 2e-3, 4e-3])
 
     def test_orientation_enforced(self):
         from fastslow.model import standard_form_2d
@@ -183,6 +210,20 @@ class TestBranchSelection:
         with pytest.raises(PreconditionError, match="eps > 0"):
             branch_selection_experiment(make_pitchfork_spec(0.5, 1.0),
                                         "Pitchfork", eps)
+
+    @pytest.mark.parametrize("spec,case", [
+        (make_pitchfork_spec(0.5, 1.0), "Pitchfork"),
+        (make_transcritical_spec(2.0), "Transcritical")])
+    def test_heap_stays_flat(self, spec, case):
+        # the walk holds two points; keeping every point of these eps = 1e-4
+        # orbits peaked at 0.66-1.1 MB
+        tracemalloc.start()
+        try:
+            branch_selection_experiment(spec, case, 1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25e6
 
     def test_threshold_band_excluded(self):
         with pytest.raises(PreconditionError, match="exclusion band"):

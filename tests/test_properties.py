@@ -16,19 +16,23 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from fastslow.cli import execute_command
-from fastslow.dynamics import compile_jet_callable
+from fastslow.dynamics import (Box, _seed_on_manifold, branch_selection_experiment,
+                               compile_jet_callable, fit_powerlaw,
+                               fold_exit_experiment)
 from fastslow.embedding import (_nilpotent_powers, _takens_operator, _time1,
                                 flow_time1_jet, takens_embed_unipotent)
 from fastslow.jets import (Jet, JetVector, _derivation, _graded_coeffs, _graded_jets,
                            _graded_table, jet_compose, jet_linear_map, jet_mul,
                            jet_partial, jet_shift, jetvector_compose, max_coeff_diff,
                            monomials_of_degree)
-from fastslow.model import FastSlowMapSpec, extended_map_jets
+from fastslow.model import (FastSlowMapSpec, critical_manifold_solve,
+                            extended_map_jets, reduced_data)
 from fastslow.singularities import _newton_rectify, cm_normal_form_transform
 from fastslow.specfiles import emit_mapspec, parse_mapspec
 from fastslow.tols import DEFAULT_TOLS
 from conftest import (compose_oracle, lie_series_oracle, make_contact3d_spec,
-                      make_fold_spec, make_pitchfork_spec, make_transcritical_spec)
+                      make_fold_spec, make_pitchfork_spec, make_transcritical_spec,
+                      orbit_oracle)
 
 COEFF = st.floats(-0.8, 0.8, allow_nan=False, allow_subnormal=False)
 
@@ -540,3 +544,56 @@ def test_cli_fuzz_spec_text(fuzz_dir, spec, command, out):
     if out and "--out" in COMMAND_OPTIONS[command]:
         argv += ["--out", "@out"]
     _check_cli_exit(argv, fuzz_dir)
+
+
+# ---------------------------------------------------------------------------
+# the two-point orbit walks against orbits kept whole
+
+log_uniform_eps = st.floats(-4.0, -2.0).map(lambda t: 10.0 ** t)
+
+
+@settings(max_examples=20)
+@given(st.lists(log_uniform_eps, min_size=3, max_size=3, unique=True),
+       st.sampled_from(["exit", "fiber"]))
+def test_fold_exit_matches_orbit_oracle(eps_grid, observable):
+    """Every fold orbit, kept whole, crosses the observable level where the
+    experiment's two-point walk says, bit for bit, and so gives the same
+    fit."""
+    spec, rho = make_fold_spec(), 0.1
+    base = spec.base_point
+    level = base[0] + (rho if observable == "exit" else 0.0)
+    values = []
+    for eps in eps_grid:
+        orbit = orbit_oracle(spec, _seed_on_manifold(spec, -0.5, eps), eps,
+                             step_cap=2_000_000, stop_x=base[0] + rho, level=level)
+        values.append(orbit.crossing[1] - base[1])
+    got = fold_exit_experiment(spec, rho, eps_grid, observable=observable)
+    assert repr(got) == repr(fit_powerlaw(eps_grid, values))
+
+
+# the default seeds of branch_selection_experiment: spec, case, Newton guess
+# and the coordinates it holds fixed
+BRANCH_FIXTURES = {
+    "exchange": (make_transcritical_spec(0.5), "Transcritical", [-0.35, -0.35], ()),
+    "escape": (make_transcritical_spec(2.0), "Transcritical", [-0.35, -0.35], ()),
+    "plus": (make_pitchfork_spec(0.5, 1.0), "Pitchfork", [0.0, -0.35], (0,)),
+    "minus": (make_pitchfork_spec(-0.5, 1.0), "Pitchfork", [0.0, -0.35], (0,)),
+    "center+": (make_pitchfork_spec(0.5, -1.0), "Pitchfork", [0.35, 0.35 ** 2], (0,)),
+    "center-": (make_pitchfork_spec(0.5, -1.0), "Pitchfork", [-0.35, 0.35 ** 2], (0,)),
+}
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(sorted(BRANCH_FIXTURES)), log_uniform_eps)
+def test_branch_selection_matches_orbit_oracle(name, eps):
+    """The experiment's exit point and face are those of the orbit kept
+    whole, bit for bit."""
+    spec, case, guess, frozen = BRANCH_FIXTURES[name]
+    seed = critical_manifold_solve(spec, guess, frozen=frozen)
+    rd = reduced_data(spec, seed)
+    z = seed + eps * rd.reduced_field if rd.valid else seed
+    orbit = orbit_oracle(spec, z, eps, step_cap=2_000_000,
+                         box=Box(((-0.5, 0.5), (-0.4, 0.4))))
+    sel = branch_selection_experiment(spec, case, eps, seed=seed)
+    assert sel.exit_edge == orbit.exit_face
+    assert sel.exit_point.tobytes() == orbit.points[orbit.end].tobytes()

@@ -13,8 +13,11 @@ change wins and the median gap in units of the parent's IQR.  Per workload
 and operation label (``cli:center-manifold``, ``embed:m3o5``, ...) it holds
 each side's median latency over every operation of every run, and the
 label's share of the summed latency, so that a file shows where a round's
-time moved.  It also holds the git sha and the Python, numpy and scipy
-versions of each side, and the failed and attempted operation counts.
+time moved.  It also holds each run's round count by side and seed (a
+spec_analysis run stops on time, so its rounds show how close it came to
+``run.py``'s deadline and how much it retained), the git sha and the
+Python, numpy and scipy versions of each side, and the failed and attempted
+operation counts.
 Standard library only.
 """
 
@@ -101,9 +104,12 @@ def record(parent_root: str, change_root: str) -> dict:
                                        for op in r["records"])}
                   for side, runs in sides.items()}
         labels = {side: _labels(runs) for side, runs in sides.items()}
+        rounds = {side: {seed: runs[seed]["rounds"] for seed in sorted(runs)}
+                  for side, runs in sides.items()}
         workloads[workload] = {"seeds": seeds, "seconds": sorted({r["seconds"] for r in
                                                                   sides["change"].values()}),
-                               "operations": counts, "metrics": metrics,
+                               "operations": counts, "rounds": rounds,
+                               "metrics": metrics,
                                "latency_by_label": {
                                    label: {side: labels[side].get(label)
                                            for side in sides}
@@ -136,6 +142,9 @@ def main() -> int:
         print(f"{workload}: {len(data['seeds'])} pairs; failed "
               f"{ops['parent']['failed']}/{ops['parent']['attempted']} (parent), "
               f"{ops['change']['failed']}/{ops['change']['attempted']} (change)")
+        for side, by_seed in data["rounds"].items():
+            print(f"  rounds {side}: " + ", ".join(f"s{seed} {n}"
+                                                   for seed, n in by_seed.items()))
         for name, m in data["metrics"].items():
             line = "  ".join(f"{side} {m[side]['median']:.4g} (IQR/median "
                              f"{m[side]['iqr_over_median'] or 0.0:.3f})"
