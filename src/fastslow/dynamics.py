@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (ConvergenceError, ExperimentError, PreconditionError,
                      StructuralError)
@@ -175,18 +174,96 @@ def iterate_map_orbit(spec: FastSlowMapSpec, z0, eps: float, box: Box,
                  exit_edge=box.exit_face(z) if exited else None)
 
 
+# Gragg-Bulirsch-Stoer reference integrator (Hairer, Norsett & Wanner,
+# Solving ODEs I, sec. II.9): modified midpoint steps on these step counts,
+# extrapolated in h^2
+_GBS_COUNTS = (2, 4, 6, 8, 10, 12, 14, 16)
+# a time-1 solve that needs a shorter step, or more attempted steps, has
+# met a blow-up or a field it cannot resolve
+_GBS_MIN_STEP = 1e-12
+_GBS_MAX_STEPS = 10_000
+
+
+def _finite_rhs(f, y: np.ndarray) -> np.ndarray | None:
+    """f(y) as a float array, or None when a component is not finite."""
+    try:
+        v = np.asarray(f(y), dtype=float)
+    except OverflowError:
+        return None
+    return v if np.isfinite(v).all() else None
+
+
+def _gbs_step(f, y: np.ndarray, f0: np.ndarray, h: float, rtol: float,
+              atol: float):
+    """One extrapolated step of length h from y, where f0 = f(y).  Returns
+    (state, column) for the first diagonal entry of the Aitken-Neville
+    tableau within tolerance of its left neighbour, or None when no column
+    meets the tolerance or a stage is not finite."""
+    previous_row: list[np.ndarray] = []
+    for j, n in enumerate(_GBS_COUNTS):
+        sub = h / n
+        prev, cur = y, y + sub * f0
+        for _ in range(n - 1):
+            v = _finite_rhs(f, cur)
+            if v is None:
+                return None
+            prev, cur = cur, prev + (2.0 * sub) * v
+        row = [cur]
+        for k in range(1, j + 1):
+            ratio = (n / _GBS_COUNTS[j - k]) ** 2 - 1.0
+            row.append(row[k - 1] + (row[k - 1] - previous_row[k - 1]) / ratio)
+        if j:
+            scale = atol + rtol * np.maximum(np.abs(y), np.abs(row[-1]))
+            if np.max(np.abs(row[-1] - row[-2]) / scale) <= 1.0:
+                return row[-1], j
+        previous_row = row
+    return None
+
+
 def integrate_time1(V, z0, rtol: float = 1e-12, atol: float = 1e-12) -> np.ndarray:
-    """Reference time-1 state of a vector field (jet vector or callable),
-    by adaptive high-order integration."""
-    if isinstance(V, JetVector):
-        f = compile_jet_callable(V)
-    else:
-        f = V
-    sol = solve_ivp(lambda t, y: f(y), (0.0, 1.0), np.asarray(z0, dtype=float),
-                    method="DOP853", rtol=rtol, atol=atol)
-    if not sol.success:
-        raise ConvergenceError(f"time-1 integration failed: {sol.message}")
-    return sol.y[:, -1]
+    """Reference time-1 state of a vector field (jet vector or callable).
+
+    Gragg-Bulirsch-Stoer extrapolation: each step runs the modified
+    midpoint rule with 2, 4, ..., 16 substeps and extrapolates the results
+    polynomially in the squared substep.  A step is accepted at the first
+    tableau column whose change from the previous column is within
+    atol + rtol * |y| in every component; a step that no column resolves
+    is halved and retried, and a step resolved within four columns doubles
+    the next one.  The start must be finite (else ``PreconditionError``).
+    A stage that is not finite rejects its step; a step shorter than 1e-12,
+    more than 10000 attempted steps, or a field that is not finite at an
+    accepted state end in ``ConvergenceError`` -- which is how a blow-up
+    before time 1 ends."""
+    f = compile_jet_callable(V) if isinstance(V, JetVector) else V
+    y = np.array(z0, dtype=float)
+    if not np.isfinite(y).all():
+        raise PreconditionError(f"time-1 integration needs a finite start, got {z0!r}")
+    t, h = 0.0, 1.0
+    f0 = _finite_rhs(f, y)
+    for _ in range(_GBS_MAX_STEPS):
+        if f0 is None:
+            raise ConvergenceError(
+                f"time-1 integration failed: field is not finite at t = {t:.6g}")
+        last = h >= 1.0 - t
+        if last:
+            h = 1.0 - t
+        step = _gbs_step(f, y, f0, h, rtol, atol)
+        if step is None:
+            h *= 0.5
+            if h < _GBS_MIN_STEP:
+                raise ConvergenceError(
+                    f"time-1 integration failed: step fell below {_GBS_MIN_STEP:g} "
+                    f"at t = {t:.6g}")
+            continue
+        y, column = step
+        if last:
+            return y
+        t += h
+        if column <= 3:
+            h *= 2.0
+        f0 = _finite_rhs(f, y)
+    raise ConvergenceError(
+        f"time-1 integration failed: more than {_GBS_MAX_STEPS} steps")
 
 
 # ---------------------------------------------------------------------------

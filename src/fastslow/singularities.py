@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegenerateCaseError, PreconditionError, StructuralError
 from .jets import (Jet, JetVector, MultiIndex, _compose, _composition_matrix,
@@ -360,7 +359,9 @@ def build_contact_frame(DfN: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> Con
         P = np.zeros((1, 0))
         Q = np.zeros((0, 1))
     else:
-        P = scipy.linalg.null_space(l.reshape(1, -1))
+        # l is nonzero, so the row l has rank 1 and its null space is
+        # spanned by the trailing p - 1 right singular vectors
+        P = np.linalg.svd(l.reshape(1, -1))[2][1:].T
         Q = P.T @ (np.eye(p) - np.outer(r, l))
     return ContactFrame(l=l, r=r, Q=Q, P=P)
 

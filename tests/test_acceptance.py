@@ -64,7 +64,7 @@ def test_criterion_02_flow_jets_vs_integrator():
             worst_margin = max(worst_margin, rel - bound)
     elapsed = time.perf_counter() - start
     ok = worst_margin <= 0.0 and elapsed <= 60.0
-    _report(2, ok, f"1000 points vs DOP853: worst excess over "
+    _report(2, ok, f"1000 points vs Bulirsch-Stoer: worst excess over "
                    f"1e-6 + 10|z|^5 is {worst_margin:.3e} (<= 0), "
                    f"{elapsed:.1f}s (<= 60s)")
 

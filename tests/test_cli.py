@@ -1,5 +1,6 @@
 """File format and command-surface tests."""
 
+import json
 import os
 import subprocess
 import sys
@@ -256,6 +257,34 @@ class TestCommands:
             assert proc.returncode == 0, proc.stderr
             outputs.append((proc.stdout, out.read_bytes()))
         assert outputs[0] == outputs[1]
+
+
+IMPORT_PROBE = """\
+import contextlib, io, json, sys
+import fastslow.cli
+solvers = [m for m in ("scipy.integrate", "scipy.linalg", "scipy.optimize")
+           if m in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = fastslow.cli.execute_command(["classify", "--spec", sys.argv[1],
+                                         "--point", "0,0"])
+scipy_modules = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps({"solvers": solvers, "code": code, "scipy": scipy_modules}))
+"""
+
+
+def test_cli_import_footprint(fold_file):
+    # importing the CLI loads numpy only; scipy.sparse waits for the first
+    # jet-kernel call, which classify never makes
+    src = os.path.dirname(os.path.dirname(fastslow.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, fold_file],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["solvers"] == []
+    assert report["code"] == 0
+    assert report["scipy"] == []
 
 
 class TestParserReuse:

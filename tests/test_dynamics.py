@@ -1,12 +1,14 @@
 """Dynamics tests: orbits, reference integration, slow-manifold tracking,
 and the three scaling experiments."""
 
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from fastslow.errors import ExperimentError, PreconditionError, StructuralError
+from fastslow.errors import (ConvergenceError, ExperimentError, PreconditionError,
+                             StructuralError)
 from fastslow.jets import Jet, JetVector
 from fastslow.dynamics import (Box, branch_selection_experiment,
                                compile_jet_callable, fit_powerlaw,
@@ -75,6 +77,28 @@ class TestIntegrator:
         z0 = np.array([0.2, -0.1])
         assert np.allclose(integrate_time1(V, z0), (np.eye(2) + L) @ z0,
                            atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_start_refused(self, bad):
+        x = Jet.variable(2, 3, 0)
+        V = JetVector([x ** 2, Jet.zero(2, 3)], 2, 3)
+        with pytest.raises(PreconditionError, match="finite start"):
+            integrate_time1(V, [0.1, bad])
+
+    @pytest.mark.parametrize("field", ["jet", "callable"])
+    def test_blow_up_is_a_convergence_error(self, field):
+        # x' = x^2 from 2 leaves every bound at t = 0.5; on the way the jet
+        # evaluator's stages overflow
+        V = (JetVector([Jet.variable(1, 4, 0) ** 2]) if field == "jet"
+             else (lambda y: y * y))
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="t = 0.5"):
+            integrate_time1(V, [2.0])
+        assert time.perf_counter() - start < 1.0
+
+    def test_field_not_finite_at_state(self):
+        with pytest.raises(ConvergenceError, match="not finite at t = 0"):
+            integrate_time1(lambda y: y * np.nan, [1.0])
 
 
 class TestTracking:

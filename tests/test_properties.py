@@ -5,7 +5,9 @@ Takens operator as the first variation of the time-1 map, the ring laws of
 round trips, evaluator agreement, composition against the sparse oracle and
 its associativity, linear maps of jets and spec-file round trips on
 generated inputs; the contact chart against its two-stage construction;
-and a fuzz of the command line over generated argv and spec text."""
+the reference integrator and the contact frame's null space against their
+scipy counterparts; and a fuzz of the command line over generated argv and
+spec text."""
 
 import contextlib
 import io
@@ -13,12 +15,14 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import HealthCheck, example, given, settings, strategies as st
+from scipy.integrate import solve_ivp
 
 from fastslow.cli import execute_command
 from fastslow.dynamics import (Box, _seed_on_manifold, branch_selection_experiment,
                                compile_jet_callable, fit_powerlaw,
-                               fold_exit_experiment)
+                               fold_exit_experiment, integrate_time1)
 from fastslow.embedding import (_nilpotent_powers, _takens_operator, _time1,
                                 flow_time1_jet, takens_embed_unipotent)
 from fastslow.jets import (Jet, JetVector, _derivation, _graded_coeffs, _graded_jets,
@@ -27,12 +31,13 @@ from fastslow.jets import (Jet, JetVector, _derivation, _graded_coeffs, _graded_
                            monomials_of_degree)
 from fastslow.model import (FastSlowMapSpec, critical_manifold_solve,
                             extended_map_jets, reduced_data)
-from fastslow.singularities import _newton_rectify, cm_normal_form_transform
+from fastslow.singularities import (_newton_rectify, build_contact_frame,
+                                    cm_normal_form_transform)
 from fastslow.specfiles import emit_mapspec, parse_mapspec
 from fastslow.tols import DEFAULT_TOLS
 from conftest import (compose_oracle, lie_series_oracle, make_contact3d_spec,
                       make_fold_spec, make_pitchfork_spec, make_transcritical_spec,
-                      orbit_oracle)
+                      orbit_oracle, random_nilpotent_field)
 
 COEFF = st.floats(-0.8, 0.8, allow_nan=False, allow_subnormal=False)
 
@@ -361,6 +366,46 @@ def _two_stage_hat_map(spec):
 def test_chart_map_equals_two_stage_composition(make_spec):
     one_stage, two_stage = _two_stage_hat_map(make_spec())
     assert max_coeff_diff(one_stage, two_stage) <= 1e-13 * one_stage.max_abs()
+
+
+# -- scipy as the oracle -------------------------------------------------------
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(3, 5), st.floats(0.0, 0.3),
+       st.integers(0, 2 ** 32 - 1))
+def test_integrate_time1_matches_dop853(field_seed, order, radius, point_seed):
+    V = random_nilpotent_field(np.random.default_rng(field_seed), order=order)
+    z = np.random.default_rng(point_seed).uniform(-1.0, 1.0, V.num_vars)
+    z *= radius / max(1e-12, np.linalg.norm(z))
+    f = compile_jet_callable(V)
+    ref = solve_ivp(lambda t, y: f(y), (0.0, 1.0), z, method="DOP853",
+                    rtol=1e-13, atol=1e-13).y[:, -1]
+    got = integrate_time1(V, z)
+    assert np.max(np.abs(got - ref)) <= 1e-11 * (1.0 + np.max(np.abs(ref)))
+
+
+@st.composite
+def simple_zero_matrices(draw):
+    """DfN = S diag(0, d_2, ..., d_p) S^-1 with |S - I| <= 0.2 entrywise (so S
+    is strictly diagonally dominant for p <= 4) and 0.5 <= |d_i| <= 2: a
+    simple zero eigenvalue whose left and right null vectors are far from
+    orthogonal."""
+    p = draw(st.integers(2, 4))
+    entries = draw(st.lists(st.floats(-0.2, 0.2), min_size=p * p, max_size=p * p))
+    S = np.eye(p) + np.reshape(entries, (p, p))
+    d = [draw(st.floats(0.5, 2.0)) * draw(st.sampled_from([-1.0, 1.0]))
+         for _ in range(p - 1)]
+    return S @ np.diag([0.0] + d) @ np.linalg.inv(S)
+
+
+@given(simple_zero_matrices())
+def test_contact_frame_null_space_is_scipy_null_space(DfN):
+    frame = build_contact_frame(DfN)
+    P = frame.P
+    assert np.array_equal(P, scipy.linalg.null_space(frame.l.reshape(1, -1)))
+    assert np.max(np.abs(frame.l @ P)) <= 1e-14 * np.max(np.abs(frame.l))
+    assert np.max(np.abs(P.T @ P - np.eye(P.shape[1]))) <= 1e-14
 
 
 VALUE = st.floats(-1e3, 1e3, allow_nan=False)
