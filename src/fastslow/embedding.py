@@ -5,7 +5,7 @@ Two directions:
 * :func:`flow_time1_jet` computes the jet of the time-1 map of a polynomial
   vector field V with nilpotent linear part as the Lie series exp(D_V) x,
   where D_V g = sum_j V_j dg/dx_j.  On the basis of the constant-free
-  monomials of degree 1..order in graded-lex order, D_V is a sparse
+  monomials of degree 1..order in graded-lex order, D_V is a dense
   D x D matrix, D = C(m + order, m) - 1, built by one scatter from the
   coefficients of V.  It never lowers a degree, so it is block
   lower-triangular by degree and its leading block on degrees 1..l is the
@@ -325,7 +325,7 @@ def takens_embed_unipotent(H: JetVector, order: int,
         # V holds degrees < l here; adding F_l adds op F_l at degree l
         part = slice(table.ends[l - 1], table.ends[l])
         known_l = _time1(V, table, l, depth)[:, part]
-        op = _takens_operator(Lpows, lin[part, part].toarray(), l * (depth - 1))
+        op = _takens_operator(Lpows, lin[part, part], l * (depth - 1))
         try:
             F_l = np.linalg.solve(op, (target[:, part] - known_l).ravel())
         except np.linalg.LinAlgError as exc:

@@ -700,22 +700,20 @@ class _GradedTable:
     sit at ``ends[d-1]:ends[d]``, and ``var[i]`` is the position of x_i
     (graded lex lists x_{m-1} first).  A field V is an (m, D) array with
     ``V[j, a]`` the coefficient of monomial a in V_j.  Triple t adds
-    ``V.flat[coeff[t]] * weight[t]`` to the operator entry ``pair[t]``, the
-    index of a (target, column) entry of a CSR matrix with rows
-    ``indptr``/``indices``: column b = x^beta, weight beta_j, target
+    ``V.flat[coeff[t]] * weight[t]`` to the operator entry in row
+    ``row[t]`` and column ``col[t]``: column b = x^beta, weight beta_j, row
     x^(alpha + beta - e_j) for coeff = j D + alpha.  Triples are sorted by
-    pair and pairs by (target, column); a target never has a lower degree
-    than its column, so the first ``triple_ends[d]`` triples build the
-    leading block on degrees 1..d.
+    (row, column); a row never has a lower degree than its column, so the
+    first ``triple_ends[d]`` triples build the leading block on degrees
+    1..d.
 
     The product table lists every pair of monomials ``left[q]``,
     ``right[q]`` whose product ``target[q]`` has degree <= order, sorted by
     that degree, so the first ``pair_ends[d]`` pairs are the products on
     degrees 1..d."""
 
-    __slots__ = ("monomials", "index", "ends", "var", "pair", "coeff", "weight",
-                 "indptr", "indices", "triple_ends", "left", "right", "target",
-                 "pair_ends")
+    __slots__ = ("monomials", "index", "ends", "var", "row", "col", "coeff", "weight",
+                 "triple_ends", "left", "right", "target", "pair_ends")
 
     def __init__(self, num_vars: int, order: int):
         m = num_vars
@@ -741,25 +739,19 @@ class _GradedTable:
             weights.append(E[col, j])
         key = np.concatenate(targets) * size + np.concatenate(columns)
         perm = np.argsort(key, kind="stable")
-        key = key[perm]
-        new = np.ones(len(key), dtype=bool)
-        new[1:] = key[1:] != key[:-1]
-        self.pair = np.cumsum(new) - 1
+        self.row, self.col = np.divmod(key[perm], size)
         self.coeff = np.concatenate(coeffs)[perm]
         self.weight = np.concatenate(weights)[perm].astype(float)
-        rows = key[new] // size
-        self.indices = key[new] % size
-        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=size))))
-        self.triple_ends = np.searchsorted(key // size, self.ends)
+        self.triple_ends = np.searchsorted(self.row, self.ends)
         left, right = _prefix_pairs(np.arange(size), self.ends[order - degree])
         total = degree[left] + degree[right]
         perm = np.argsort(total, kind="stable")
         self.left, self.right = left[perm], right[perm]
         self.target = _graded_rank(E[self.left] + E[self.right], self.ends)
         self.pair_ends = np.searchsorted(total[perm], np.arange(order + 1), side="right")
-        for arr in (self.ends, self.var, self.pair, self.coeff, self.weight,
-                    self.indptr, self.indices, self.triple_ends, self.left,
-                    self.right, self.target, self.pair_ends):
+        for arr in (self.ends, self.var, self.row, self.col, self.coeff, self.weight,
+                    self.triple_ends, self.left, self.right, self.target,
+                    self.pair_ends):
             arr.flags.writeable = False
 
 
@@ -812,18 +804,15 @@ def _graded_jets(coeffs: np.ndarray, table: _GradedTable, num_vars: int, order: 
             for row in coeffs]
 
 
-def _derivation(V: np.ndarray, table: _GradedTable, degree: int):
-    """D_V as a CSR matrix on the monomials of degree 1..``degree``, for a
+def _derivation(V: np.ndarray, table: _GradedTable, degree: int) -> np.ndarray:
+    """D_V as a dense matrix on the monomials of degree 1..``degree``, for a
     field ``V`` given on the graded basis of ``table``.  Each entry sums its
     triples in one fixed order, so equal fields give equal bits."""
-    import scipy.sparse  # here, so that importing the package does not load it
-
     n, t = table.ends[degree], table.triple_ends[degree]
-    nnz = table.indptr[n]
-    data = np.bincount(table.pair[:t], weights=V.ravel()[table.coeff[:t]] * table.weight[:t],
-                       minlength=nnz)
-    return scipy.sparse.csr_matrix((data, table.indices[:nnz], table.indptr[:n + 1]),
-                                   shape=(n, n))
+    data = np.bincount(table.row[:t] * n + table.col[:t],
+                       weights=V.ravel()[table.coeff[:t]] * table.weight[:t],
+                       minlength=n * n)
+    return data.reshape(n, n)
 
 
 def _composition_matrix(inner: np.ndarray, out_table: _GradedTable,

@@ -662,7 +662,8 @@ def center_manifold_restricted_map(nf: ContactNormalForm,
         raise PreconditionError(
             "framed fast block has a multiplier on the unit circle "
             f"({np.round(lam_w, 12)}); the graph solve is singular")
-    # linear part of the (x, u, eps) return map, w columns dropped
+    # linear part of the (x, u, eps) return map, w columns dropped; on the
+    # graph the w columns enter through W_1, which the degree-1 solve finds
     M = np.zeros((mred, mred))
     M[:k + 1, :k + 1] = hm[:k + 1, :k + 1]
     M[:k + 1, k + 1] = hm[:k + 1, n]
@@ -691,6 +692,16 @@ def center_manifold_restricted_map(nf: ContactNormalForm,
                     f"eigenvalues {np.round(lam_w, 12)}") from exc
             coeffs[:, part] = sol.reshape(p - 1, -1)
             W = JetVector(_graded_jets(coeffs, table, mred, r), mred, r)
+            if d == 1:
+                # the (x, u) rows see w = W_1 z + ..., so the linear return
+                # map on the graph is M + hm_xw W_1.  The chart's w rows have
+                # no (x, u) term (see jacobian_residual), so W_1 has only an
+                # eps column, W_1 M is unchanged and degree 1 stands.
+                coupling = hm[:k + 1, k + 1:n] @ coeffs[:, table.var]
+                if coupling.any():
+                    M[:k + 1] += coupling
+                    inner[:, table.var] = M
+                    phi = _composition_matrix(inner, table, table, order)
     restricted, defect = on_graph(W, r)
     residual = defect.degree_cap(order).max_abs()
 

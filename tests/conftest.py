@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import settings
 
 from fastslow.dynamics import _MapRunner, _interpolate_crossing
@@ -202,6 +203,36 @@ def lie_series_oracle(V, order, depth):
             break
         total = total + term
     return total
+
+
+def csr_derivation_oracle(V, table, degree):
+    """Reference for ``jets._derivation``: D_V as a scipy CSR matrix on the
+    monomials of degree 1..``degree``.  Each stored entry is one run of equal
+    (row, column) triples, summed in order by one ``np.bincount``."""
+    n, t = table.ends[degree], table.triple_ends[degree]
+    row, col = table.row[:t], table.col[:t]
+    new = np.ones(t, dtype=bool)
+    new[1:] = (row[1:] != row[:-1]) | (col[1:] != col[:-1])
+    data = np.bincount(np.cumsum(new) - 1,
+                       weights=V.ravel()[table.coeff[:t]] * table.weight[:t])
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(row[new], minlength=n))))
+    return scipy.sparse.csr_matrix((data, col[new], indptr), shape=(n, n))
+
+
+def csr_time1_oracle(V, table, degree, depth):
+    """Reference for ``embedding._time1``: the same Lie series, term bound
+    and stop on an exactly zero term, with the CSR operator of
+    :func:`csr_derivation_oracle`."""
+    op = csr_derivation_oracle(V, table, degree)
+    X = np.zeros((op.shape[0], len(V)))
+    X[table.var, np.arange(len(V))] = 1.0
+    total = X
+    for k in range(1, degree + (depth - 1) * degree * (degree + 1) // 2):
+        X = (op @ X) * (1.0 / k)
+        if not X.any():
+            break
+        total = total + X
+    return total.T
 
 
 def compose_oracle(outer, inner):

@@ -1,10 +1,15 @@
 """Flow-jet and embedding tests: frozen examples, round trips, numerical
-cross-checks, scaling of the truncation error, and the reduced-map
-coefficient structure."""
+cross-checks, scaling of the truncation error, bits that do not depend on
+the BLAS thread count, and the reduced-map coefficient structure."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fastslow
 from fastslow.errors import PreconditionError, StructuralError, UnsupportedCaseError
 from fastslow.jets import (Jet, JetVector, jetvector_compose, max_coeff_diff,
                            monomials_of_degree)
@@ -243,6 +248,50 @@ class TestEmbedding:
             sups.append(worst)
         for hi, lo in zip(sups, sups[1:]):
             assert hi / lo >= 2 ** (order - 1) * 0.8
+
+
+THREAD_PROBE = """\
+import numpy as np
+from fastslow.embedding import flow_time1_jet, takens_embed_unipotent
+from fastslow.jets import Jet, JetVector, monomials_of_degree
+from fastslow.specfiles import emit_jetvector
+
+# name -> (num_vars, order, coefficient fill, Jordan depth)
+CELLS = {"m2o7": (2, 7, 1.0, 2), "m3o5": (3, 5, 1.0, 3), "m4o4": (4, 4, 1.0, 4),
+         "m3o6s": (3, 6, 0.15, 3), "m4o6": (4, 6, 1.0, 4), "m5o5": (5, 5, 1.0, 5)}
+for seed, (name, (m, order, fill, depth)) in enumerate(CELLS.items()):
+    rng = np.random.default_rng(seed)
+    terms = [{} for _ in range(m)]
+    for i in range(depth - 1):
+        terms[i][tuple(int(j == i + 1) for j in range(m))] = float(
+            rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.0))
+    for comp in terms:
+        for d in range(2, order + 1):
+            for alpha in monomials_of_degree(m, d):
+                if rng.random() < fill:
+                    comp[alpha.exponents] = float(rng.uniform(-0.5, 0.5))
+    V = JetVector([Jet.from_terms(m, order, t) for t in terms], m, order)
+    H = flow_time1_jet(V, order)
+    print(f"# {name} flow\\n{emit_jetvector(H)}")
+    print(f"# {name} embed\\n{emit_jetvector(takens_embed_unipotent(H, order).V)}")
+"""
+
+
+def test_bits_do_not_depend_on_blas_threads():
+    # the Lie series multiplies by a dense D_V and the Takens solve is dense:
+    # on these cells one and two BLAS threads must give the same bytes
+    # (larger operators, m5o6 and up, may not; see the README)
+    src = os.path.dirname(os.path.dirname(fastslow.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0].count("# ") == 12
+    assert outputs[0] == outputs[1]
 
 
 class TestReducedEmbedding:

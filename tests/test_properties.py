@@ -1,7 +1,8 @@
 """Property tests (hypothesis): embedding round trips, the flow's group
 law and its agreement with the jet-product Lie series, the per-degree
 Takens operator as the first variation of the time-1 map, the ring laws of
-``jet_mul``, the Leibniz rule, the graded-basis derivation operator, shift
+``jet_mul``, the Leibniz rule, the graded-basis derivation operator and the
+dense operator and its series against the CSR oracle, shift
 round trips, evaluator agreement, composition against the sparse oracle and
 its associativity, linear maps of jets and spec-file round trips on
 generated inputs; the contact chart against its two-stage construction;
@@ -35,9 +36,10 @@ from fastslow.singularities import (_newton_rectify, build_contact_frame,
                                     cm_normal_form_transform)
 from fastslow.specfiles import emit_mapspec, parse_mapspec
 from fastslow.tols import DEFAULT_TOLS
-from conftest import (compose_oracle, lie_series_oracle, make_contact3d_spec,
-                      make_fold_spec, make_pitchfork_spec, make_transcritical_spec,
-                      orbit_oracle, random_nilpotent_field)
+from conftest import (compose_oracle, csr_derivation_oracle, csr_time1_oracle,
+                      lie_series_oracle, make_contact3d_spec, make_fold_spec,
+                      make_pitchfork_spec, make_transcritical_spec, orbit_oracle,
+                      random_nilpotent_field)
 
 COEFF = st.floats(-0.8, 0.8, allow_nan=False, allow_subnormal=False)
 
@@ -134,7 +136,7 @@ def test_takens_operator_is_the_first_variation_of_time1(case):
     Lpows = _nilpotent_powers(L, DEFAULT_TOLS.nilp)
     V = np.zeros((m, len(table.monomials)))
     V[:, table.var] = L
-    A = _derivation(V, table, l)[part, part].toarray()
+    A = _derivation(V, table, l)[part, part]
     op = _takens_operator(Lpows, A, l * (len(Lpows) - 1))
     V += _graded_coeffs(F, table)
     want = _time1(V, table, l, len(Lpows))[:, part]
@@ -193,6 +195,24 @@ def test_graded_operator_is_the_derivation(case):
     direct = sum((jet_mul(V[j], jet_partial(g, j)) for j in range(m)), Jet.zero(m, order))
     assert _close(apply(g), direct)
     assert _close(apply(jet_mul(g, h)), jet_mul(g, apply(h)) + jet_mul(h, apply(g)))
+
+
+@given(nilpotent_fields())
+def test_dense_derivation_matches_csr_oracle(V):
+    # the dense operator is scattered by the same bincount over the same
+    # triples, so it keeps the CSR entries' bits; the series differs only
+    # in the order BLAS sums each product
+    m, order = V.num_vars, V.order
+    table = _graded_table(m, order)
+    coeffs = _graded_coeffs(V, table)
+    depth = len(_nilpotent_powers(V.linear_matrix(), DEFAULT_TOLS.nilp))
+    for degree in range(1, order + 1):
+        dense = _derivation(coeffs, table, degree)
+        want = csr_derivation_oracle(coeffs, table, degree).toarray()
+        assert dense.shape == want.shape and dense.tobytes() == want.tobytes()
+        series = csr_time1_oracle(coeffs, table, degree, depth)
+        gap = np.max(np.abs(_time1(coeffs, table, degree, depth) - series))
+        assert gap <= 1e-13 * np.max(np.abs(series))
 
 
 @st.composite

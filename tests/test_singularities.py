@@ -280,6 +280,23 @@ class TestCenterManifold:
                        default=0.0)
             assert dust <= 1e-12
 
+    def test_graph_solve_sees_w_through_the_linear_graph(self):
+        # a constant in the w row of G gives W_1 an eps column, and the
+        # (x, u) rows couple to w: the solve must use the linear return map
+        # on the graph, M + hm_xw W_1, or the invariance residual is O(0.1)
+        base = make_contact4d_k2_spec()
+        G = list(base.G)
+        G[3] = G[3] + Jet.constant(5, base.order, 0.2)
+        spec = FastSlowMapSpec(n=4, k=2, order=base.order, N=base.N, f=base.f,
+                               G=JetVector(G, 5, base.order), base_point=np.zeros(4))
+        nf = cm_normal_form_transform(spec)
+        cm = center_manifold_restricted_map(nf, order=4)
+        assert cm.W.linear_matrix()[0] == pytest.approx([0.0, 0.0, 0.0, 0.4], abs=1e-12)
+        assert np.any(nf.hat_map.linear_matrix()[:3, 3] != 0.0)
+        assert cm.invariance_residual <= 1e-10 * max(1.0, cm.W.max_abs())
+        assert abs(cm.mu1 - 1.0) <= 1e-10
+        assert embed_on_center_manifold(cm, order=4).contact_ok
+
     @pytest.mark.parametrize("order", [0, -1])
     def test_order_below_one_refused(self, contact3d_spec, order):
         nf = cm_normal_form_transform(contact3d_spec)
