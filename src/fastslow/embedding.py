@@ -16,11 +16,10 @@ Two directions:
 * :func:`takens_embed_unipotent` inverts that computation: given a map jet
   whose linear part is unipotent, it solves degree by degree for the unique
   vector field whose time-1 map matches the given jet.  At each degree l the
-  unknown homogeneous part enters through an invertible linear operator,
-  sum_{p,q} L^p (x) A^q/(p+q+1)!, where L is the linear part and A the
-  degree-l diagonal block of D_{Lx} on the same graded basis; it is formed
-  as a dense matrix and solved directly.  The known part is the same series
-  on the leading block of degrees 1..l, for the field found so far.
+  unknown part enters through an operator with a finite Bernoulli series
+  inverse (:func:`_takens_solve`); the known part is the same Lie series on
+  degrees 1..l for the field found so far.  :func:`_finite_series` sums
+  every finite series here and the center-manifold graph solve's.
 
 Both refuse a non-finite coefficient with :class:`PreconditionError`.
 
@@ -36,8 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InternalError, PreconditionError, StructuralError,
-                     UnsupportedCaseError)
+from .errors import PreconditionError, StructuralError, UnsupportedCaseError
 from .jets import (Jet, JetVector, _GradedTable, _derivation, _graded_coeffs,
                    _graded_jets, _graded_table, jet_matrix_inverse, jet_matrix_mul,
                    jet_mul)
@@ -155,6 +153,18 @@ def jordan_chevalley_split(A: np.ndarray,
                                    is_unipotent=False)
 
 
+def _finite_series(step, term: np.ndarray, coeffs: list[float]) -> np.ndarray:
+    """sum_k coeffs[k] R_k for R_0 = ``term`` and R_k = step(R_{k-1}, k), exact
+    when R_len(coeffs) = 0; it stops early at an exactly zero term."""
+    total = coeffs[0] * term
+    for k in range(1, len(coeffs)):
+        term = step(term, k)
+        if not term.any():
+            break
+        total = total + coeffs[k] * term
+    return total
+
+
 def nilpotent_log(A: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """Matrix logarithm of a unipotent matrix (finite series, exact).
 
@@ -162,19 +172,14 @@ def nilpotent_log(A: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     higher terms are required so that the exponential reproduces A exactly.
     """
     A = np.asarray(A, dtype=float)
-    dim = A.shape[0]
-    N = A - np.eye(dim)
+    N = A - np.eye(len(A))
     idx = nilpotency_index(N, tols.nilp)
     if idx is None:
         raise UnsupportedCaseError(
             "linear part is not unipotent; see jordan_chevalley_split for the "
             "semisimple/nilpotent diagnosis")
-    L = np.zeros_like(N)
-    P = np.eye(dim)
-    for p in range(1, idx + 1):
-        P = P @ N
-        L += ((-1.0) ** (p + 1) / p) * P
-    return L
+    return _finite_series(lambda P, k: P @ N, N,
+                          [(-1.0) ** p / (p + 1) for p in range(idx)])
 
 
 def _nilpotent_powers(L: np.ndarray, tol: float) -> list[np.ndarray]:
@@ -207,18 +212,12 @@ def _time1(V: np.ndarray, table: _GradedTable, degree: int, depth: int) -> np.nd
     A nonzero coefficient of degree at most ``degree`` therefore comes from
     at most degree - 1 raising steps and d(depth - 1) steps in each diagonal
     block d = 1..``degree``, which bounds the number of terms by
-    (degree - 1) + (depth - 1) degree (degree + 1) / 2.  The loop stops
-    there, or earlier on an exactly zero term."""
+    (degree - 1) + (depth - 1) degree (degree + 1) / 2."""
     op = _derivation(V, table, degree)
     X = np.zeros((op.shape[0], len(V)))
     X[table.var, np.arange(len(V))] = 1.0
-    total = X
-    for k in range(1, degree + (depth - 1) * degree * (degree + 1) // 2):
-        X = (op @ X) * (1.0 / k)
-        if not X.any():
-            break
-        total = total + X
-    return total.T
+    terms = degree + (depth - 1) * degree * (degree + 1) // 2
+    return _finite_series(lambda X, k: (op @ X) * (1.0 / k), X, [1.0] * terms).T
 
 
 def _graded_finite(jets: JetVector, table: _GradedTable, what: str) -> np.ndarray:
@@ -275,22 +274,27 @@ class EmbeddingResult:
     residual: float
 
 
-def _takens_operator(Lpows: list[np.ndarray], A: np.ndarray, top: int) -> np.ndarray:
-    """Matrix of F -> int_0^1 exp(L(1-tau)) F(exp(L tau) x) dtau on the
-    homogeneous fields of one degree l, packed component-major as ``np.kron``
-    lays out an operator acting on each component.
+def _bernoulli_series(top: int) -> list[float]:
+    """B_k/k! for k = 0..``top``, each rounded once: the recurrence
+    sum_{j<=k} C(k+1, j) B_j = 0 runs on the integers B_j (top + 1)!, since
+    the denominator of B_k divides (k + 1)!."""
+    D = math.factorial(top + 1)
+    BD = [D]
+    for k in range(1, top + 1):
+        BD.append(-sum(math.comb(k + 1, j) * BD[j] for j in range(k)) // (k + 1))
+    return [BD[k] / (D * math.factorial(k)) for k in range(top + 1)]
 
-    ``Lpows`` is [I, L, L^2, ...] and ``A`` the degree-l diagonal block of
-    D_{Lx} on the graded basis, so F(exp(L tau) x) = exp(tau A) F.  The Beta
-    integral int (1-tau)^p tau^q dtau = p! q!/(p+q+1)! cancels the factorials
-    of both exponentials, leaving sum_{p,q} L^p (x) A^q/(p+q+1)!; A^q = 0 for
-    q > ``top`` = l(depth - 1) (see :func:`_time1`).  kron is linear in its
-    second factor, so the q-sum is taken before it."""
-    Apows = [np.eye(len(A))]
-    for _ in range(top):
-        Apows.append(Apows[-1] @ A)
-    return sum(np.kron(P, sum(Aq / math.factorial(p + q + 1) for q, Aq in enumerate(Apows)))
-               for p, P in enumerate(Lpows))
+
+def _takens_solve(L: np.ndarray, A: np.ndarray, rhs: np.ndarray,
+                  depth: int, degree: int) -> np.ndarray:
+    """The (m, D_l) part F of degree l = ``degree`` whose contribution
+    sum_{p,q} L^p F (A^T)^q/(p+q+1)! to the time-1 map of Lx + F is ``rhs``,
+    with ``A`` the degree-l block of D_{Lx}.  For the commuting X F = L F and
+    N F = F A^T - L F that operator is e^X (e^N - 1)/N, so F = beta(N) e^-L rhs
+    with beta(z) = z/(e^z - 1); N^k = 0 for k > (depth - 1)(l + 1)."""
+    start = _finite_series(lambda F, k: (L @ F) * (-1.0 / k), rhs, [1.0] * depth)
+    return _finite_series(lambda F, k: F @ A.T - L @ F, start,
+                          _bernoulli_series((depth - 1) * (degree + 1)))
 
 
 def takens_embed_unipotent(H: JetVector, order: int,
@@ -299,10 +303,10 @@ def takens_embed_unipotent(H: JetVector, order: int,
 
     Requires H(0) = 0 and a unipotent linear part.  The field's linear part
     is the nilpotent logarithm L of the map's linear part; each homogeneous
-    part is found by a dense solve with the operator of
-    :func:`_takens_operator`, built from the diagonal blocks of one
-    derivation matrix D_{Lx} on the graded basis.  A non-finite coefficient
-    up to ``order`` is refused with :class:`PreconditionError`.
+    part is the finite Bernoulli series of :func:`_takens_solve`, on the
+    diagonal blocks of one derivation matrix D_{Lx} on the graded basis.
+    A non-finite coefficient up to ``order`` is refused with
+    :class:`PreconditionError`.
     """
     if order < 1 or order > H.order:
         raise StructuralError(f"order must lie in 1..{H.order}")
@@ -314,26 +318,18 @@ def takens_embed_unipotent(H: JetVector, order: int,
     table = _graded_table(m, order)
     target = _graded_finite(H, table, "map")
     L = nilpotent_log(target[:, table.var], tols)  # refuses non-unipotent linear parts
-    Lpows = _nilpotent_powers(L, tols.nilp)
+    depth = len(_nilpotent_powers(L, tols.nilp))
 
     V = np.zeros_like(target)
     V[:, table.var] = L
-    depth = len(Lpows)
     lin = _derivation(V, table, order)  # D_{Lx}, block diagonal by degree
 
     for l in range(2, order + 1):
-        # V holds degrees < l here; adding F_l adds op F_l at degree l
+        # V holds degrees < l here; F_l enters degree l linearly
         part = slice(table.ends[l - 1], table.ends[l])
         known_l = _time1(V, table, l, depth)[:, part]
-        op = _takens_operator(Lpows, lin[part, part], l * (depth - 1))
-        try:
-            F_l = np.linalg.solve(op, (target[:, part] - known_l).ravel())
-        except np.linalg.LinAlgError as exc:
-            raise InternalError(
-                f"per-degree matching operator is singular at degree {l} "
-                f"(cond {np.linalg.cond(op):.3g}); uniqueness should forbid this"
-            ) from exc
-        V[:, part] = F_l.reshape(m, -1)
+        V[:, part] = _takens_solve(L, lin[part, part], target[:, part] - known_l,
+                                   depth, l)
 
     residual = float(np.max(np.abs(_time1(V, table, order, depth) - target)))
     return EmbeddingResult(V=JetVector(_graded_jets(V, table, m, H.order), m, H.order),

@@ -2,7 +2,7 @@
 
 The CLI maps these onto exit codes: input-contract problems (preconditions,
 assumption violations, parse errors, domain errors) exit with status 2,
-runtime failures (convergence, experiments, internal solves) with status 1.
+runtime failures (convergence, experiments) with status 1.
 """
 
 from __future__ import annotations
@@ -59,7 +59,3 @@ class ParseError(FastSlowError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-
-
-class InternalError(FastSlowError):
-    """An internal invariant failed; indicates a bug, not bad input."""

@@ -18,13 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCaseError, PreconditionError, StructuralError
+from .errors import (ConvergenceError, DegenerateCaseError, PreconditionError,
+                     StructuralError)
 from .jets import (Jet, JetVector, MultiIndex, _compose, _composition_matrix,
                    _graded_coeffs, _graded_jets, _graded_table, jet_linear_map,
                    jet_matrix_mul, jet_mul, jet_partial, jet_reciprocal,
                    jetvector_compose, monomials_of_degree)
 from .model import FastSlowMapSpec, extended_map_jets, nontrivial_multipliers
-from .embedding import EmbeddingResult, takens_embed_unipotent
+from .embedding import (EmbeddingResult, _finite_series, _nilpotent_powers,
+                        takens_embed_unipotent)
 from .tols import DEFAULT_TOLS, Tolerances
 
 __all__ = [
@@ -622,16 +624,27 @@ def _split_var_divisible(jet: Jet, var: int, tol: float, what: str) -> Jet:
     return Jet(jet.num_vars, jet.order, keep, jet.reliable_order)
 
 
+def _graph_solve(C: np.ndarray, Phi: np.ndarray, rhs: np.ndarray,
+                 depth: int, degree: int) -> np.ndarray:
+    """X with B X - X Phi = ``rhs`` at degree d = ``degree``, for
+    C = (B - I)^-1 and Phi the degree-d block of the composition matrix of
+    the linear return map M: the Neumann series of X = C rhs + C X N, N = Phi
+    - I, ends as N^j = 0 for j > d(depth - 1) when (M - I)^depth = 0."""
+    N = Phi - np.eye(len(Phi))
+    return _finite_series(lambda X, k: C @ X @ N, C @ rhs,
+                          [1.0] * (degree * (depth - 1) + 1))
+
+
 def center_manifold_restricted_map(nf: ContactNormalForm,
                                    order: int | None = None,
                                    tols: Tolerances | None = None) -> CenterManifoldData:
     """Solve the graph-invariance equation for the center manifold order by
     order and build the restricted (k+1)-dimensional map on it.
 
-    Each degree yields a Sylvester-type linear system whose operator is
-    invertible because the framed fast block has no critical multiplier.  Its
-    substitution part is a diagonal block of the composition matrix of the
-    linear return map on the graded basis (see :mod:`fastslow.jets`)."""
+    Each degree yields a Sylvester equation, solved by :func:`_graph_solve`;
+    the framed fast block has no multiplier on the unit circle.  A graph whose
+    invariance residual exceeds ``tols.structure`` times max(1, largest graph
+    coefficient) is refused with :class:`ConvergenceError`."""
     tols = tols or nf.spec.tols
     spec, frame = nf.spec, nf.frame
     n, k, r = nf.n, nf.k, nf.order
@@ -671,39 +684,33 @@ def center_manifold_restricted_map(nf: ContactNormalForm,
 
     W = JetVector.zeros(p - 1, mred, r)
     if p > 1:  # with p = 1, W is empty
-        # Q_0 at degree d is the transposed degree-d block of the composition
-        # matrix of the linear inner vector x -> M x
         table = _graded_table(mred, r)
         inner = np.zeros((mred, len(table.monomials)))
-        inner[:, table.var] = M
-        phi = _composition_matrix(inner, table, table, order)
+        C = np.linalg.inv(btilde - np.eye(p - 1))
         coeffs = np.zeros((p - 1, len(table.monomials)))
         for d in range(1, order + 1):
+            if d <= 2:  # M is final from degree 2 on, see below
+                inner[:, table.var] = M
+                phi = _composition_matrix(inner, table, table, order)
+                depth = len(_nilpotent_powers(M - np.eye(mred), tols.nilp))
             # pass d needs degree d of the defect only
             _, defect = on_graph(W, d)
             part = slice(table.ends[d - 1], table.ends[d])
-            T = (np.kron(btilde, np.eye(part.stop - part.start))
-                 - np.kron(np.eye(p - 1), phi[part, part].T))
-            try:
-                sol = np.linalg.solve(T, _graded_coeffs(defect, table)[:, part].ravel())
-            except np.linalg.LinAlgError as exc:
-                raise PreconditionError(
-                    f"graph solve singular at degree {d}: offending "
-                    f"eigenvalues {np.round(lam_w, 12)}") from exc
-            coeffs[:, part] = sol.reshape(p - 1, -1)
+            coeffs[:, part] = _graph_solve(C, phi[part, part],
+                                           _graded_coeffs(defect, table)[:, part],
+                                           depth, d)
             W = JetVector(_graded_jets(coeffs, table, mred, r), mred, r)
             if d == 1:
                 # the (x, u) rows see w = W_1 z + ..., so the linear return
                 # map on the graph is M + hm_xw W_1.  The chart's w rows have
                 # no (x, u) term (see jacobian_residual), so W_1 has only an
                 # eps column, W_1 M is unchanged and degree 1 stands.
-                coupling = hm[:k + 1, k + 1:n] @ coeffs[:, table.var]
-                if coupling.any():
-                    M[:k + 1] += coupling
-                    inner[:, table.var] = M
-                    phi = _composition_matrix(inner, table, table, order)
+                M[:k + 1] += hm[:k + 1, k + 1:n] @ coeffs[:, table.var]
     restricted, defect = on_graph(W, r)
     residual = defect.degree_cap(order).max_abs()
+    if residual > tols.structure * max(1.0, W.max_abs()):
+        raise ConvergenceError(f"center-manifold graph misses invariance: residual "
+                               f"{residual:.3g} above structure x max(1, |W|)")
 
     # graph factorization W = u W0 + eps W_rem at eps = 0
     eps_var = k + 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +14,7 @@ from fastslow.dynamics import _MapRunner, _interpolate_crossing
 from fastslow.jets import (Jet, JetVector, MultiIndex, jet_mul, jet_partial,
                            monomials_of_degree)
 from fastslow.model import FastSlowMapSpec, standard_form_2d
+from fastslow.singularities import check_regular_contact
 
 # property tests must not fail on timing (host speed varies) nor vary from
 # run to run
@@ -235,6 +237,48 @@ def csr_time1_oracle(V, table, degree, depth):
     return total.T
 
 
+def takens_operator_oracle(Lpows, A, top):
+    """Reference for ``embedding._takens_solve``: the matrix of
+    F -> int_0^1 exp(L(1-tau)) F(exp(L tau) x) dtau on the homogeneous
+    fields of one degree l, packed component-major as ``np.kron`` lays out
+    an operator acting on each component.
+
+    ``Lpows`` is [I, L, L^2, ...] and ``A`` the degree-l diagonal block of
+    D_{Lx} on the graded basis, so F(exp(L tau) x) = exp(tau A) F.  The Beta
+    integral int (1-tau)^p tau^q dtau = p! q!/(p+q+1)! cancels the factorials
+    of both exponentials, leaving sum_{p,q} L^p (x) A^q/(p+q+1)!; A^q = 0 for
+    q > ``top`` = l(depth - 1) (see ``embedding._time1``).  kron is linear
+    in its second factor, so the q-sum is taken before it."""
+    Apows = [np.eye(len(A))]
+    for _ in range(top):
+        Apows.append(Apows[-1] @ A)
+    return sum(np.kron(P, sum(Aq / math.factorial(p + q + 1) for q, Aq in enumerate(Apows)))
+               for p, P in enumerate(Lpows))
+
+
+def graph_operator_oracle(B, Phi):
+    """Reference for ``singularities._graph_solve``: the matrix of
+    X -> B X - X Phi on (p - 1, D_d) arrays, packed row-major."""
+    return np.kron(B, np.eye(len(Phi))) - np.kron(np.eye(len(B)), Phi.T)
+
+
+def dense_takens_solve(L, A, rhs, depth, degree):
+    """``embedding._takens_solve`` by a dense solve with
+    :func:`takens_operator_oracle`; same arguments."""
+    Lpows = [np.eye(len(L))]
+    for _ in range(depth - 1):
+        Lpows.append(Lpows[-1] @ L)
+    op = takens_operator_oracle(Lpows, A, degree * (depth - 1))
+    return np.linalg.solve(op, rhs.ravel()).reshape(rhs.shape)
+
+
+def dense_graph_solve(C, Phi, rhs, depth, degree):
+    """``singularities._graph_solve`` by a dense solve with
+    :func:`graph_operator_oracle`; same arguments, B = I + C^-1."""
+    B = np.eye(len(C)) + np.linalg.inv(C)
+    return np.linalg.solve(graph_operator_oracle(B, Phi), rhs.ravel()).reshape(rhs.shape)
+
+
 def compose_oracle(outer, inner):
     """Reference for ``jet_compose``: the sum over the outer monomials of
     their coefficient times a product of powers of the inner components, each
@@ -357,6 +401,69 @@ def random_contact3d_spec(rng, order=5):
     ])
     return FastSlowMapSpec(n=3, k=1, order=order, N=N, f=f, G=G,
                            base_point=np.zeros(3))
+
+
+def random_contact_spec(rng, n, k, order=4):
+    """Random n-d map with a regular contact point at the origin,
+    generalising :func:`random_contact3d_spec` to k slow variables
+    x_1..x_k and p = n - k fast ones y_1..y_p.
+
+    The linear parts are pinned: f_i = y_i + ..., with an x_1^2 term in f_1;
+    N(0) has a unit entry in the x_1 row of the critical column, a zero
+    row for y_1 (the critical direction u) and a stable block C in the rows
+    of y_2..y_p (the w block); and G has a constant in every row.  The x
+    rows of N(0) carry random entries in the w columns, so for p >= 2 the
+    graph's degree-1 part W_1 (driven by the eps constants of G) feeds back
+    into the linear return map.  Higher coefficients are random; a draw
+    that misses a contact condition is redrawn."""
+    p = n - k
+
+    def unit(var, m=n):
+        return tuple(1 if j == var else 0 for j in range(m))
+
+    def sprinkle(base):
+        terms = dict(base)
+        for d in (2, 3):
+            for alpha in monomials_of_degree(n, d):
+                if rng.random() < 0.3:
+                    terms[alpha.exponents] = terms.get(alpha.exponents, 0.0) \
+                        + float(rng.uniform(-0.4, 0.4))
+        return terms
+
+    def njet(const):
+        terms = {} if const == 0.0 else {(0,) * n: float(const)}
+        for var in range(n):
+            if rng.random() < 0.5:
+                terms[unit(var)] = float(rng.uniform(-0.2, 0.2))
+        return Jet.from_terms(n, order, terms)
+
+    while True:
+        x1_squared = {tuple(2 if j == 0 else 0 for j in range(n)):
+                      float(rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 0.5))}
+        f = JetVector([Jet.from_terms(n, order, sprinkle(
+            {unit(k + i): 1.0, **(x1_squared if i == 0 else {})})) for i in range(p)])
+
+        # N(0): x rows (1 or random, then random w entries), u row zero,
+        # w rows (0, C) with I + C a contraction
+        N0 = np.zeros((n, p))
+        N0[0, 0] = 1.0
+        N0[1:k, 0] = rng.uniform(-0.5, 0.5, k - 1)
+        N0[:k, 1:] = rng.uniform(-0.3, 0.3, (k, p - 1))
+        C = rng.uniform(-0.1, 0.1, (p - 1, p - 1))
+        C[np.diag_indices(p - 1)] = rng.uniform(-0.7, -0.3, p - 1)
+        N0[k + 1:, 1:] = C
+        N = tuple(tuple(njet(N0[a, j]) for j in range(p)) for a in range(n))
+        G = []
+        for a in range(n):
+            const = rng.uniform(0.2, 0.8) if a == k else rng.uniform(-0.5, 0.5)
+            terms = {(0,) * (n + 1): float(const)}
+            for var in rng.choice(n + 1, size=2, replace=False):
+                terms[unit(int(var), n + 1)] = float(rng.uniform(-0.3, 0.3))
+            G.append(Jet.from_terms(n + 1, order, terms))
+        spec = FastSlowMapSpec(n=n, k=k, order=order, N=N, f=f, G=JetVector(G),
+                               base_point=np.zeros(n))
+        if check_regular_contact(spec, np.zeros(n)).verdict:
+            return spec
 
 
 @pytest.fixture

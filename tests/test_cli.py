@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import fastslow
+from fastslow import embedding, singularities
 from fastslow.errors import AssumptionViolationError, ParseError
 from fastslow.cli import execute_command
 from fastslow.specfiles import (MapSpecFile, emit_jetvector, emit_mapspec,
@@ -192,6 +193,18 @@ class TestCommands:
                                 "--order", "4"])
         assert code == 0
         assert "ok" in capsys.readouterr().out
+
+    def test_center_manifold_wrong_graph_exit_1(self, tmp_path, capsys, monkeypatch):
+        # a graph that misses invariance ends in one error line, not "ok"
+        monkeypatch.setattr(singularities, "_finite_series",
+                            lambda step, term, coeffs:
+                            embedding._finite_series(step, term, coeffs[:1]))
+        path = tmp_path / "c3.map"
+        path.write_text(emit_mapspec(make_contact3d_spec()))
+        assert execute_command(["center-manifold", "--spec", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error[ConvergenceError]: ") and err.count("\n") == 1
 
     def test_selftest(self, capsys):
         assert execute_command(["selftest"]) == 0

@@ -1,11 +1,14 @@
 """Property tests (hypothesis): embedding round trips, the flow's group
-law and its agreement with the jet-product Lie series, the per-degree
-Takens operator as the first variation of the time-1 map, the ring laws of
+law and its agreement with the jet-product Lie series, flow and embedding
+under a linear change of coordinates, the per-degree Takens operator as
+the first variation of the time-1 map, the finite series of both
+per-degree solvers against their dense operators, the ring laws of
 ``jet_mul``, the Leibniz rule, the graded-basis derivation operator and the
 dense operator and its series against the CSR oracle, shift
 round trips, evaluator agreement, composition against the sparse oracle and
 its associativity, linear maps of jets and spec-file round trips on
 generated inputs; the contact chart against its two-stage construction;
+the center-manifold pipeline on random n-d contact specs;
 the reference integrator and the contact frame's null space against their
 scipy counterparts; and a fuzz of the command line over generated argv and
 spec text."""
@@ -24,22 +27,26 @@ from fastslow.cli import execute_command
 from fastslow.dynamics import (Box, _seed_on_manifold, branch_selection_experiment,
                                compile_jet_callable, fit_powerlaw,
                                fold_exit_experiment, integrate_time1)
-from fastslow.embedding import (_nilpotent_powers, _takens_operator, _time1,
+from fastslow.embedding import (_nilpotent_powers, _takens_solve, _time1,
                                 flow_time1_jet, takens_embed_unipotent)
-from fastslow.jets import (Jet, JetVector, _derivation, _graded_coeffs, _graded_jets,
-                           _graded_table, jet_compose, jet_linear_map, jet_mul,
-                           jet_partial, jet_shift, jetvector_compose, max_coeff_diff,
-                           monomials_of_degree)
+from fastslow.jets import (Jet, JetVector, _composition_matrix, _derivation,
+                           _graded_coeffs, _graded_jets, _graded_table, jet_compose,
+                           jet_linear_map, jet_mul, jet_partial, jet_shift,
+                           jetvector_compose, max_coeff_diff, monomials_of_degree)
 from fastslow.model import (FastSlowMapSpec, critical_manifold_solve,
                             extended_map_jets, reduced_data)
-from fastslow.singularities import (_newton_rectify, build_contact_frame,
-                                    cm_normal_form_transform)
+from fastslow.singularities import (_graph_solve, _newton_rectify,
+                                    build_contact_frame,
+                                    center_manifold_restricted_map,
+                                    cm_normal_form_transform,
+                                    embed_on_center_manifold)
 from fastslow.specfiles import emit_mapspec, parse_mapspec
 from fastslow.tols import DEFAULT_TOLS
 from conftest import (compose_oracle, csr_derivation_oracle, csr_time1_oracle,
-                      lie_series_oracle, make_contact3d_spec, make_fold_spec,
-                      make_pitchfork_spec, make_transcritical_spec, orbit_oracle,
-                      random_nilpotent_field)
+                      graph_operator_oracle, lie_series_oracle, make_contact3d_spec,
+                      make_fold_spec, make_pitchfork_spec, make_transcritical_spec,
+                      orbit_oracle, random_contact_spec, random_nilpotent_field,
+                      takens_operator_oracle)
 
 COEFF = st.floats(-0.8, 0.8, allow_nan=False, allow_subnormal=False)
 
@@ -108,6 +115,42 @@ def test_time1_flow_matches_lie_series_oracle(V):
 
 
 @st.composite
+def conjugated_fields(draw):
+    """A field of ``random_nilpotent_field`` (m 2-3, order 3-6) and an
+    invertible P with |P - I| <= 0.3 entrywise: diagonally dominant for
+    m <= 3."""
+    m = draw(st.integers(2, 3))
+    order = draw(st.integers(3, 6))
+    V = random_nilpotent_field(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))),
+                               m, order)
+    entries = draw(st.lists(st.floats(-0.3, 0.3), min_size=m * m, max_size=m * m))
+    return V, np.eye(m) + np.reshape(entries, (m, m))
+
+
+def _conjugate(F, P, Pinv):
+    """P^-1 F(P x)."""
+    m, order = F.num_vars, F.order
+    Px = jet_linear_map(P, JetVector.identity(m, order))
+    return JetVector(jet_linear_map(Pinv, jetvector_compose(F, Px)), m, order)
+
+
+@settings(max_examples=100)
+@given(conjugated_fields())
+def test_flow_and_embedding_commute_with_linear_conjugation(case):
+    # the flow of P^-1 V(P .) is P^-1 flow(V)(P .), and the Takens field of
+    # a map is unique, so the embedding commutes with the same change
+    V, P = case
+    Pinv = np.linalg.inv(P)
+    H = flow_time1_jet(V, V.order)
+    want = _conjugate(H, P, Pinv)
+    got = flow_time1_jet(_conjugate(V, P, Pinv), V.order)
+    assert max_coeff_diff(got, want) <= 1e-13 * want.max_abs()
+    want = _conjugate(takens_embed_unipotent(H, V.order).V, P, Pinv)
+    got = takens_embed_unipotent(_conjugate(H, P, Pinv), V.order).V
+    assert max_coeff_diff(got, want) <= 1e-13 * want.max_abs()
+
+
+@st.composite
 def takens_cases(draw):
     """A nilpotent L and a homogeneous field F of one degree l >= 2.  L is one
     Jordan chain, or L = P J P^-1 with |P - I| <= 0.2 entrywise, so that P is
@@ -137,11 +180,78 @@ def test_takens_operator_is_the_first_variation_of_time1(case):
     V = np.zeros((m, len(table.monomials)))
     V[:, table.var] = L
     A = _derivation(V, table, l)[part, part]
-    op = _takens_operator(Lpows, A, l * (len(Lpows) - 1))
+    op = takens_operator_oracle(Lpows, A, l * (len(Lpows) - 1))
     V += _graded_coeffs(F, table)
     want = _time1(V, table, l, len(Lpows))[:, part]
     got = (op @ V[:, part].ravel()).reshape(m, -1)
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+@given(takens_cases())
+def test_takens_series_inverts_the_dense_operator(case):
+    # the coefficients of F serve as the right-hand side of degree l
+    L, F = case
+    m, l = F.num_vars, F.order
+    table = _graded_table(m, l)
+    part = slice(table.ends[l - 1], table.ends[l])
+    Lpows = _nilpotent_powers(L, DEFAULT_TOLS.nilp)
+    V = np.zeros((m, len(table.monomials)))
+    V[:, table.var] = L
+    A = _derivation(V, table, l)[part, part]
+    rhs = _graded_coeffs(F, table)[:, part]
+    got = _takens_solve(L, A, rhs, len(Lpows), l)
+    back = takens_operator_oracle(Lpows, A, l * (len(Lpows) - 1)) @ got.ravel()
+    assert np.max(np.abs(back - rhs.ravel())) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
+
+
+@st.composite
+def graph_cases(draw):
+    """One degree d of the graph equation B X - X Phi = R of a contact chart
+    with k slow variables and p - 1 w variables.  B is a framed fast block,
+    contracting or expanding, whose Gershgorin discs keep 0.2 from the unit
+    circle.  Phi is the degree-d block of the composition matrix of the
+    linear return map M on (x_1..x_k, u, eps): the identity plus the
+    tangency column in u and an eps column, to which the coupling hm_xw W_1
+    of a nonzero W_1 is added.
+
+    The residual of any backward-stable solution scales with |X|, which
+    grows like (|(B - I)^-1| |Phi - I|)^d; degrees up to 3 keep |X| within
+    a few thousand, where a bound relative to the right-hand side means
+    something."""
+    k = draw(st.integers(1, 3))
+    q = draw(st.integers(1, 3))  # p - 1
+    d = draw(st.integers(1, 3))
+    unit = st.floats(-0.5, 0.5)
+
+    def matrix(rows, cols, elements=unit):
+        return np.reshape(draw(st.lists(elements, min_size=rows * cols,
+                                        max_size=rows * cols)), (rows, cols))
+
+    B = np.eye(q) + matrix(q, q, st.floats(-0.1, 0.1))
+    B[np.diag_indices(q)] = [draw(st.sampled_from([0.3, 1.7]))
+                             + draw(st.floats(0.0, 0.3)) for _ in range(q)]
+    mred = k + 2
+    M = np.eye(mred)
+    M[0, k] = 1.0
+    M[1:k, k] = matrix(k - 1, 1)[:, 0]
+    M[:k + 1, k + 1] = matrix(k + 1, 1)[:, 0]
+    W1 = matrix(q, 1, st.floats(0.1, 0.5))
+    M[:k + 1, k + 1] += (matrix(k + 1, q) @ W1)[:, 0]
+    table = _graded_table(mred, d)
+    inner = np.zeros((mred, len(table.monomials)))
+    inner[:, table.var] = M
+    part = slice(table.ends[d - 1], table.ends[d])
+    Phi = _composition_matrix(inner, table, table, d)[part, part]
+    depth = len(_nilpotent_powers(M - np.eye(mred), DEFAULT_TOLS.nilp))
+    return B, Phi, matrix(q, int(part.stop - part.start)), depth, d
+
+
+@given(graph_cases())
+def test_graph_series_inverts_the_dense_operator(case):
+    B, Phi, rhs, depth, d = case
+    got = _graph_solve(np.linalg.inv(B - np.eye(len(B))), Phi, rhs, depth, d)
+    back = graph_operator_oracle(B, Phi) @ got.ravel()
+    assert np.max(np.abs(back - rhs.ravel())) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
 
 
 @st.composite
@@ -386,6 +496,28 @@ def _two_stage_hat_map(spec):
 def test_chart_map_equals_two_stage_composition(make_spec):
     one_stage, two_stage = _two_stage_hat_map(make_spec())
     assert max_coeff_diff(one_stage, two_stage) <= 1e-13 * one_stage.max_abs()
+
+
+@st.composite
+def contact_specs(draw):
+    """(n, k, seed) for :func:`random_contact_spec`: n = 3..6 and
+    k = 1..min(3, n - 2), so there is always a w block."""
+    n = draw(st.integers(3, 6))
+    return n, draw(st.integers(1, min(3, n - 2))), draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=100)
+@given(contact_specs())
+def test_random_contact_specs_pass_the_center_manifold_checks(case):
+    # the x rows of N(0) reach into the w columns, so the graph's W_1
+    # changes the linear return map; a solve that misses this leaves an
+    # invariance residual far above the band
+    n, k, seed = case
+    spec = random_contact_spec(np.random.default_rng(seed), n, k)
+    cm = center_manifold_restricted_map(cm_normal_form_transform(spec))
+    assert cm.invariance_residual <= 1e-10 * max(1.0, cm.W.max_abs())
+    assert abs(cm.mu1 - 1.0) <= 1e-10
+    assert embed_on_center_manifold(cm).contact_ok
 
 
 # -- scipy as the oracle -------------------------------------------------------

@@ -339,7 +339,7 @@ class TestContactEmbedding:
         assert emb.factor_residual <= 1e-8
 
     @pytest.mark.parametrize("make_spec,components", [
-        (make_contact4d_k1_spec, 2),  # coupled w-block: kron(I_2, Q) in the solve
+        (make_contact4d_k1_spec, 2),  # coupled w-block: C = (B - I)^-1 is full
         (make_contact4d_k2_spec, 1),  # reduced variables (x_1, x_2, u, eps)
     ])
     def test_four_dimensional_pipeline(self, make_spec, components):
