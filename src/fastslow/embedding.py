@@ -21,7 +21,9 @@ Two directions:
   degrees 1..l for the field found so far.  :func:`_finite_series` sums
   every finite series here and the center-manifold graph solve's.
 
-Both refuse a non-finite coefficient with :class:`PreconditionError`.
+Both refuse a non-finite coefficient with :class:`PreconditionError`, and
+the embedding refuses a field whose time-1 map misses the map jet by more
+than ``embed_residual`` with :class:`ConvergenceError`.
 
 :func:`jordan_chevalley_split` is a diagnostic that separates a general
 linear part into commuting semisimple and nilpotent factors; maps whose
@@ -35,7 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError, StructuralError, UnsupportedCaseError
+from .errors import (ConvergenceError, PreconditionError, StructuralError,
+                     UnsupportedCaseError)
 from .jets import (Jet, JetVector, _GradedTable, _derivation, _graded_coeffs,
                    _graded_jets, _graded_table, jet_matrix_inverse, jet_matrix_mul,
                    jet_mul)
@@ -182,18 +185,15 @@ def nilpotent_log(A: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
                           [(-1.0) ** p / (p + 1) for p in range(idx)])
 
 
-def _nilpotent_powers(L: np.ndarray, tol: float) -> list[np.ndarray]:
-    """[I, L, L^2, ...] up to the last nonzero power."""
-    dim = L.shape[0]
+def _nilpotent_depth(L: np.ndarray, tol: float) -> int:
+    """The nilpotency index of ``L`` (L^depth = 0); refuses a matrix that
+    is not nilpotent."""
     idx = nilpotency_index(L, tol)
     if idx is None:
         raise UnsupportedCaseError(
             "linear part is not nilpotent; run jordan_chevalley_split for the "
             "semisimple/nilpotent diagnosis")
-    out = [np.eye(dim)]
-    for _ in range(idx - 1):
-        out.append(out[-1] @ L)
-    return out
+    return idx
 
 
 def _time1(V: np.ndarray, table: _GradedTable, degree: int, depth: int) -> np.ndarray:
@@ -245,7 +245,7 @@ def _check_field(V: JetVector, table: _GradedTable,
         raise StructuralError("vector field must vanish at the origin; "
                               "re-expand about the equilibrium first")
     coeffs = _graded_finite(V, table, "vector field")
-    return coeffs, len(_nilpotent_powers(coeffs[:, table.var], tols.nilp))
+    return coeffs, _nilpotent_depth(coeffs[:, table.var], tols.nilp)
 
 
 def flow_time1_jet(V: JetVector, order: int,
@@ -306,7 +306,9 @@ def takens_embed_unipotent(H: JetVector, order: int,
     part is the finite Bernoulli series of :func:`_takens_solve`, on the
     diagonal blocks of one derivation matrix D_{Lx} on the graded basis.
     A non-finite coefficient up to ``order`` is refused with
-    :class:`PreconditionError`.
+    :class:`PreconditionError`, and a residual above ``tols.embed_residual``
+    times max(1, largest coefficient of ``H``) with
+    :class:`ConvergenceError`.
     """
     if order < 1 or order > H.order:
         raise StructuralError(f"order must lie in 1..{H.order}")
@@ -318,7 +320,7 @@ def takens_embed_unipotent(H: JetVector, order: int,
     table = _graded_table(m, order)
     target = _graded_finite(H, table, "map")
     L = nilpotent_log(target[:, table.var], tols)  # refuses non-unipotent linear parts
-    depth = len(_nilpotent_powers(L, tols.nilp))
+    depth = _nilpotent_depth(L, tols.nilp)
 
     V = np.zeros_like(target)
     V[:, table.var] = L
@@ -332,6 +334,9 @@ def takens_embed_unipotent(H: JetVector, order: int,
                                    depth, l)
 
     residual = float(np.max(np.abs(_time1(V, table, order, depth) - target)))
+    if residual > tols.embed_residual * max(1.0, H.max_abs()):
+        raise ConvergenceError(f"embedded field misses the map: residual {residual:.3g} "
+                               f"above embed_residual x max(1, |H|)")
     return EmbeddingResult(V=JetVector(_graded_jets(V, table, m, H.order), m, H.order),
                            matched_order=order, residual=residual)
 

@@ -1,8 +1,12 @@
 """Truncated multivariate power series ("jets") over float coefficients.
 
 A :class:`Jet` is a polynomial in ``num_vars`` variables, truncated at total
-degree ``order``, stored sparsely: a coefficient is present if and only if it
-is nonzero.  Jets are immutable after construction and all operations are
+degree ``order``.  Its coefficients are one float64 array on the graded
+basis of that shape (:class:`_GradedTable`): the constant first, then the
+monomials of degree 1..order in graded-lex order, cut after the last degree
+block that holds a nonzero coefficient.  ``Jet.coeffs`` is a read-only
+mapping of the nonzero terms, keyed by the shared :class:`MultiIndex`
+instances.  Jets are immutable after construction and all operations are
 pure functions, so they can be shared freely across threads.
 
 Truncation bookkeeping: differentiating a jet lowers the degree up to which
@@ -11,9 +15,10 @@ carries a ``reliable_order`` recording that degree; operations propagate it
 conservatively.  Callers that need full-order derivatives must build their
 source jets one order higher.
 
-Composition runs on the graded monomial basis (:class:`_GradedTable`): the
-constant-free monomials of degree 1..order in graded-lex order.  One matrix
-Phi per inner vector holds the coefficients of every power product
+Every kernel runs on the arrays.  The product is one gather and one
+``np.bincount`` over the table's product pairs; derivatives, shifts and the
+variable bookkeeping are index maps between bases.  Composition uses one
+matrix Phi per inner vector holding the coefficients of every power product
 inner^alpha (:func:`_composition_matrix`), and each outer jet is its
 coefficient row times Phi, plus its constant term.  This is the dense
 graded-coefficient technique of Jorba and Zou, Exp. Math. 14 (2005).
@@ -22,7 +27,8 @@ graded-coefficient technique of Jorba and Zou, Exp. Math. 14 (2005).
 from __future__ import annotations
 
 import math
-from functools import lru_cache, total_ordering
+from functools import cache, total_ordering
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -120,21 +126,25 @@ def _as_index(key, num_vars: int) -> MultiIndex:
     return idx
 
 
-class Jet:
-    """Sparse truncated polynomial.  Treat instances as immutable."""
+_EMPTY = np.zeros(0)
+_EMPTY.flags.writeable = False
 
-    __slots__ = ("num_vars", "order", "coeffs", "reliable_order")
+
+class Jet:
+    """Truncated polynomial, stored as its coefficient array on the graded
+    basis of (``num_vars``, ``order``): position 0 holds the constant and
+    position 1 + i the monomial ``_GradedTable.monomials[i]``.  The array
+    ends with the last degree block holding a nonzero coefficient (the zero
+    jet's is empty) and holds no negative zero.  Treat instances as
+    immutable."""
+
+    __slots__ = ("num_vars", "order", "reliable_order", "_graded", "_coeffs")
 
     def __init__(self, num_vars: int, order: int,
                  coeffs: Mapping | None = None,
                  reliable_order: int | None = None):
-        if num_vars < 1:
-            raise StructuralError(f"num_vars must be >= 1, got {num_vars}")
-        if order < 1:
-            raise StructuralError(f"order must be >= 1, got {order}")
-        self.num_vars = num_vars
-        self.order = order
-        clean: dict[MultiIndex, float] = {}
+        table = _graded_table(num_vars, order)
+        graded = np.zeros(len(table.basis))
         if coeffs:
             for key, value in coeffs.items():
                 idx = _as_index(key, num_vars)
@@ -143,27 +153,54 @@ class Jet:
                         f"index {idx} exceeds truncation order {order}")
                 c = float(value)
                 if c != 0.0:
-                    clean[idx] = c
-        self.coeffs = clean
+                    graded[table.position[idx]] = c
+        self._init(num_vars, order, graded, reliable_order, table)
+
+    def _init(self, num_vars: int, order: int, graded: np.ndarray,
+              reliable_order: int | None, table: "_GradedTable") -> None:
+        """Store a copy of ``graded`` cut after its top nonzero degree block,
+        with negative zeros made positive."""
+        self.num_vars = num_vars
+        self.order = order
         self.reliable_order = order if reliable_order is None else min(int(reliable_order), order)
+        nonzero = graded.nonzero()[0]
+        if len(nonzero):
+            graded = graded[:table.ends[table.ends.searchsorted(nonzero[-1])] + 1] + 0.0
+            graded.flags.writeable = False
+        else:
+            graded = _EMPTY
+        self._graded = graded
+
+    @classmethod
+    def _from_graded(cls, num_vars: int, order: int, graded: np.ndarray,
+                     reliable_order: int | None = None) -> "Jet":
+        """The jet with coefficient array ``graded`` (any length up to the
+        basis size; it is copied and trimmed)."""
+        self = cls.__new__(cls)
+        self._init(num_vars, order, graded, reliable_order, _graded_table(num_vars, order))
+        return self
+
+    def __reduce__(self):
+        return Jet._from_graded, (self.num_vars, self.order, self._graded,
+                                  self.reliable_order)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, num_vars: int, order: int) -> "Jet":
-        return cls(num_vars, order)
+        return cls._from_graded(num_vars, order, _EMPTY)
 
     @classmethod
     def constant(cls, num_vars: int, order: int, value: float) -> "Jet":
-        return cls(num_vars, order, {(0,) * num_vars: value})
+        return cls._from_graded(num_vars, order, np.array([float(value)]))
 
     @classmethod
     def variable(cls, num_vars: int, order: int, var: int) -> "Jet":
         if not 0 <= var < num_vars:
             raise StructuralError(f"variable index {var} out of range")
-        exps = [0] * num_vars
-        exps[var] = 1
-        return cls(num_vars, order, {tuple(exps): 1.0})
+        graded = np.zeros(num_vars + 1)
+        graded[1 + _graded_table(num_vars, order).var[var]] = 1.0
+        return cls._from_graded(num_vars, order, graded)
 
     @classmethod
     def from_terms(cls, num_vars: int, order: int, terms: Mapping) -> "Jet":
@@ -171,53 +208,69 @@ class Jet:
 
     # -- queries -----------------------------------------------------------
 
+    def _table(self) -> "_GradedTable":
+        return _graded_table(self.num_vars, self.order)
+
+    def _at(self, pos: int | None) -> float:
+        return float(self._graded[pos]) if pos is not None and pos < len(self._graded) else 0.0
+
+    @property
+    def coeffs(self) -> Mapping[MultiIndex, float]:
+        """Read-only mapping of the nonzero terms in graded-lex order, built
+        on first use."""
+        try:
+            return self._coeffs
+        except AttributeError:
+            self._coeffs = MappingProxyType(dict(self.terms()))
+            return self._coeffs
+
     def coefficient(self, key) -> float:
-        return self.coeffs.get(_as_index(key, self.num_vars), 0.0)
+        return self._at(self._table().position.get(_as_index(key, self.num_vars)))
 
     @property
     def constant_term(self) -> float:
-        return self.coeffs.get(MultiIndex((0,) * self.num_vars), 0.0)
+        return self._at(0)
 
     @property
     def valuation(self) -> int:
         """Smallest degree with a nonzero coefficient (order+1 if zero jet)."""
-        if not self.coeffs:
+        nonzero = self._graded.nonzero()[0]
+        if not len(nonzero):
             return self.order + 1
-        return min(i.degree for i in self.coeffs)
+        return int(self._table().ends.searchsorted(nonzero[0]))
 
     @property
     def degree_max(self) -> int:
-        return max((i.degree for i in self.coeffs), default=0)
+        return int(self._table().ends.searchsorted(len(self._graded) - 1))
 
     def terms(self) -> Iterator[tuple[MultiIndex, float]]:
-        for idx in sorted(self.coeffs):
-            yield idx, self.coeffs[idx]
+        basis = self._table().basis
+        nonzero = self._graded.nonzero()[0]
+        return zip([basis[p] for p in nonzero.tolist()], self._graded[nonzero].tolist())
 
     def max_abs(self) -> float:
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
+        return float(np.max(np.abs(self._graded), initial=0.0))
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not len(self._graded)
 
     def linear_coefficients(self) -> np.ndarray:
-        out = np.zeros(self.num_vars)
-        for var in range(self.num_vars):
-            exps = [0] * self.num_vars
-            exps[var] = 1
-            out[var] = self.coeffs.get(MultiIndex(exps), 0.0)
-        return out
+        if len(self._graded) <= 1:
+            return np.zeros(self.num_vars)
+        return self._graded[1 + self._table().var]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Jet)
                 and self.num_vars == other.num_vars
                 and self.order == other.order
-                and self.coeffs == other.coeffs)
+                and np.array_equal(self._graded, other._graded))
 
-    __hash__ = None  # mutable dict inside; identity hashing would mislead
+    __hash__ = None  # equality compares coefficients, which no hash could follow
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{i.exponents}:{c:g}" for i, c in list(self.terms())[:6])
-        more = "" if len(self.coeffs) <= 6 else f", ... ({len(self.coeffs)} terms)"
+        terms = list(self.terms())
+        inner = ", ".join(f"{i.exponents}:{c:g}" for i, c in terms[:6])
+        more = "" if len(terms) <= 6 else f", ... ({len(terms)} terms)"
         return f"Jet[{self.num_vars} vars, order {self.order}]({inner}{more})"
 
     # -- arithmetic --------------------------------------------------------
@@ -228,21 +281,26 @@ class Jet:
                 f"jet shape mismatch: ({self.num_vars} vars, order {self.order}) vs "
                 f"({other.num_vars} vars, order {other.order})")
 
+    def _like(self, graded: np.ndarray, reliable_order: int | None = None) -> "Jet":
+        """A jet of this shape with coefficient array ``graded``."""
+        return Jet._from_graded(self.num_vars, self.order, graded,
+                                self.reliable_order if reliable_order is None else reliable_order)
+
     def __add__(self, other) -> "Jet":
         if isinstance(other, (int, float)):
             other = Jet.constant(self.num_vars, self.order, other)
         self._check_shape(other)
-        out = dict(self.coeffs)
-        for idx, c in other.coeffs.items():
-            out[idx] = out.get(idx, 0.0) + c
-        return Jet(self.num_vars, self.order, out,
-                   min(self.reliable_order, other.reliable_order))
+        a, b = self._graded, other._graded
+        if len(a) < len(b):
+            a, b = b, a
+        total = a.copy()
+        total[:len(b)] += b
+        return self._like(total, min(self.reliable_order, other.reliable_order))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Jet":
-        return Jet(self.num_vars, self.order,
-                   {i: -c for i, c in self.coeffs.items()}, self.reliable_order)
+        return self._like(-self._graded)
 
     def __sub__(self, other) -> "Jet":
         if isinstance(other, (int, float)):
@@ -254,9 +312,7 @@ class Jet:
 
     def __mul__(self, other) -> "Jet":
         if isinstance(other, (int, float)):
-            s = float(other)
-            return Jet(self.num_vars, self.order,
-                       {i: c * s for i, c in self.coeffs.items()}, self.reliable_order)
+            return self._like(self._graded * float(other))
         return jet_mul(self, other)
 
     __rmul__ = __mul__
@@ -277,82 +333,73 @@ class Jet:
 
     # -- calculus and structure ---------------------------------------------
 
-    def partial(self, var: int) -> "Jet":
-        return jet_partial(self, var)
-
     def evaluate(self, point: Sequence[float]) -> float:
-        return _term_sum(((c, idx.exponents) for idx, c in self.coeffs.items()),
-                         _point_coords(point, self.num_vars))
+        return _term_sum(_term_table([self])[0], _point_coords(point, self.num_vars))
 
     def degree_part(self, degree: int) -> "Jet":
-        return Jet(self.num_vars, self.order,
-                   {i: c for i, c in self.coeffs.items() if i.degree == degree},
-                   self.reliable_order)
+        if not 0 <= degree <= self.order:
+            return self._like(_EMPTY)
+        ends = self._table().ends
+        graded = self._graded[:ends[degree] + 1].copy()
+        graded[:ends[degree - 1] + 1 if degree else 0] = 0.0
+        return self._like(graded)
 
     def degree_cap(self, degree: int) -> "Jet":
         """Drop every term of total degree above ``degree`` (order unchanged)."""
-        return Jet(self.num_vars, self.order,
-                   {i: c for i, c in self.coeffs.items() if i.degree <= degree},
-                   self.reliable_order)
+        if degree < 0:
+            return self._like(_EMPTY)
+        return self._like(self._graded[:self._table().ends[min(degree, self.order)] + 1])
 
     def truncated(self, order: int) -> "Jet":
-        return Jet(self.num_vars, order,
-                   {i: c for i, c in self.coeffs.items() if i.degree <= order},
-                   min(self.reliable_order, order))
+        table = _graded_table(self.num_vars, order)
+        return Jet._from_graded(self.num_vars, order, self._graded[:len(table.basis)],
+                                min(self.reliable_order, order))
 
     def extend_vars(self, num_vars: int, positions: Sequence[int] | None = None) -> "Jet":
         """Embed into a larger variable space; old variable ``i`` becomes
         variable ``positions[i]`` (identity prefix by default)."""
         if positions is None:
             positions = range(self.num_vars)
-        positions = list(positions)
+        positions = tuple(positions)
         if len(positions) != self.num_vars or len(set(positions)) != self.num_vars:
             raise StructuralError("positions must map variables injectively")
-        out = {}
-        for idx, c in self.coeffs.items():
-            exps = [0] * num_vars
-            for old, new in enumerate(positions):
-                exps[new] = idx.exponents[old]
-            out[tuple(exps)] = c
-        return Jet(num_vars, self.order, out, self.reliable_order)
+        src, dst = _relabel_map(self.num_vars, num_vars, self.order, positions)
+        size = len(_graded_table(num_vars, self.order).basis)
+        return Jet._from_graded(num_vars, self.order, _remap(self._graded, src, dst, size),
+                                self.reliable_order)
 
     def subs_zero(self, var: int) -> "Jet":
         """Set one variable to zero (drop every term that carries it)."""
-        return Jet(self.num_vars, self.order,
-                   {i: c for i, c in self.coeffs.items() if i.exponents[var] == 0},
-                   self.reliable_order)
+        free = self._table().exponents[:len(self._graded), var] == 0
+        return self._like(np.where(free, self._graded, 0.0))
 
     def drop_var(self, var: int) -> "Jet":
         """Remove a variable the jet does not depend on."""
-        out = {}
-        for idx, c in self.coeffs.items():
-            if idx.exponents[var] != 0:
-                raise StructuralError(f"jet depends on variable {var}")
-            exps = idx.exponents[:var] + idx.exponents[var + 1:]
-            out[exps] = c
-        return Jet(self.num_vars - 1, self.order, out, self.reliable_order)
+        carries = self._table().exponents[:len(self._graded), var] != 0
+        if self._graded[carries].any():
+            raise StructuralError(f"jet depends on variable {var}")
+        src, dst = _relabel_map(self.num_vars, self.num_vars - 1, self.order,
+                                tuple(None if i == var else i - (i > var)
+                                      for i in range(self.num_vars)))
+        return Jet._from_graded(self.num_vars - 1, self.order,
+                                _remap(self._graded, src, dst, len(self._graded)),
+                                self.reliable_order)
 
     def div_var(self, var: int, power: int = 1) -> "Jet":
         """Exact division by ``x_var**power``; every term must carry it."""
-        out = {}
-        for idx, c in self.coeffs.items():
-            e = idx.exponents[var]
-            if e < power:
-                raise StructuralError(
-                    f"term {idx.exponents} not divisible by variable {var}^{power}")
-            out[idx.replace(var, e - power)] = c
-        return Jet(self.num_vars, self.order, out, self.reliable_order)
+        table = self._table()
+        short = np.flatnonzero((table.exponents[:len(self._graded), var] < power)
+                               & (self._graded != 0.0))
+        if len(short):
+            raise StructuralError(f"term {table.basis[short[0]].exponents} not "
+                                  f"divisible by variable {var}^{power}")
+        src, dst, _ = _shift_map(self.num_vars, self.order, var, -power)
+        return self._like(_remap(self._graded, src, dst, len(self._graded)))
 
     def mul_var(self, var: int, power: int = 1) -> "Jet":
         """Multiply by ``x_var**power``, discarding terms past the order."""
-        out = {}
-        for idx, c in self.coeffs.items():
-            if idx.degree + power <= self.order:
-                out[idx.replace(var, idx.exponents[var] + power)] = c
-        return Jet(self.num_vars, self.order, out, self.reliable_order)
-
-    def shift(self, offsets: Sequence[float]) -> "Jet":
-        return jet_shift(self, offsets)
+        src, dst, _ = _shift_map(self.num_vars, self.order, var, power)
+        return self._like(_remap(self._graded, src, dst, len(self._table().basis)))
 
 
 class JetVector:
@@ -450,8 +497,9 @@ class JetVector:
 
 
 def _term_table(jets: Iterable[Jet]) -> list[list[tuple[float, tuple[int, ...]]]]:
-    """(coefficient, exponents) pairs of each jet, in storage order."""
-    return [[(c, idx.exponents) for idx, c in jet.coeffs.items()] for jet in jets]
+    """(coefficient, exponents) pairs of the nonzero terms of each jet, in
+    graded-lex order."""
+    return [[(c, idx.exponents) for idx, c in jet.terms()] for jet in jets]
 
 
 def _point_coords(point: Sequence[float], num_vars: int) -> list[float]:
@@ -485,18 +533,27 @@ def _evaluate_terms(table: list[list[tuple[float, tuple[int, ...]]]], num_vars: 
 
 
 def jet_mul(a: Jet, b: Jet) -> Jet:
-    """Truncated product; bilinear, monomials past the order are discarded."""
+    """Truncated product; bilinear, monomials past the order are discarded.
+
+    The constant-free parts multiply through the product pairs of degree at
+    most the product's top degree, summed by one ``np.bincount``."""
     a._check_shape(b)
-    order = a.order
-    out: dict[MultiIndex, float] = {}
-    for ia, ca in a.coeffs.items():
-        da = ia.degree
-        for ib, cb in b.coeffs.items():
-            if da + ib.degree > order:
-                continue
-            key = ia + ib
-            out[key] = out.get(key, 0.0) + ca * cb
-    return Jet(a.num_vars, order, out, min(a.reliable_order, b.reliable_order))
+    x, y = a._graded, b._graded
+    reliable = min(a.reliable_order, b.reliable_order)
+    if not len(x) or not len(y):
+        return a._like(_EMPTY, reliable)
+    table = a._table()
+    ends = table.ends
+    top = min(a.order, int(ends.searchsorted(len(x) - 1) + ends.searchsorted(len(y) - 1)))
+    n, q = ends[top], table.pair_ends[top]
+    xs, ys = np.zeros(n), np.zeros(n)
+    xs[:len(x) - 1], ys[:len(y) - 1] = x[1:], y[1:]
+    out = np.empty(n + 1)
+    out[0] = x[0] * y[0]
+    out[1:] = np.bincount(table.target[:q], weights=xs[table.left[:q]] * ys[table.right[:q]],
+                          minlength=n)
+    out[1:] += x[0] * ys + y[0] * xs
+    return a._like(out, reliable)
 
 
 def _as_jetvector(inner) -> JetVector:
@@ -541,14 +598,14 @@ def _compose(outer, inner, degree: int | None = None) -> JetVector:
     phi = _composition_matrix(_graded_coeffs(inner, in_table), out_table, in_table, degree)
     coeffs = _graded_coeffs(outer, out_table)[:, :len(phi)]
     reliable = min(c.reliable_order for c in inner)
-    zero = MultiIndex((0,) * m)
     comps = []
     for jet, row in zip(outer, coeffs):
         # one vector-matrix product per jet (not one matrix product for all),
         # so that a jet composes to the same bits alone and in a vector
-        terms = dict(zip(in_table.monomials, (row @ phi).tolist()))
-        terms[zero] = jet.constant_term
-        comps.append(Jet(m, order, terms, min(jet.reliable_order, reliable)))
+        graded = np.empty(phi.shape[1] + 1)
+        graded[0] = jet.constant_term
+        graded[1:] = row @ phi
+        comps.append(Jet._from_graded(m, order, graded, min(jet.reliable_order, reliable)))
     return JetVector(comps, m, order)
 
 
@@ -558,12 +615,8 @@ def jet_partial(a: Jet, var: int) -> Jet:
     cannot be recovered from a truncated source."""
     if not 0 <= var < a.num_vars:
         raise StructuralError(f"variable index {var} out of range")
-    out: dict[MultiIndex, float] = {}
-    for idx, c in a.coeffs.items():
-        e = idx.exponents[var]
-        if e:
-            out[idx.replace(var, e - 1)] = c * e
-    return Jet(a.num_vars, a.order, out, a.reliable_order - 1)
+    src, dst, weight = _shift_map(a.num_vars, a.order, var, -1)
+    return a._like(_remap(a._graded, src, dst, len(a._graded), weight), a.reliable_order - 1)
 
 
 def jet_shift(a: Jet, offsets: Sequence[float]) -> Jet:
@@ -573,35 +626,24 @@ def jet_shift(a: Jet, offsets: Sequence[float]) -> Jet:
     the underlying function."""
     if len(offsets) != a.num_vars:
         raise StructuralError("offset arity mismatch")
-    cur = a
+    graded = a._graded
     for var, c in enumerate(offsets):
         c = float(c)
         if c == 0.0:
             continue
-        out: dict[MultiIndex, float] = {}
-        for idx, coeff in cur.coeffs.items():
-            e = idx.exponents[var]
-            for j in range(e + 1):
-                val = coeff * math.comb(e, j) * c ** (e - j)
-                if val == 0.0:
-                    continue
-                key = idx.replace(var, j)
-                out[key] = out.get(key, 0.0) + val
-        cur = Jet(a.num_vars, a.order, out, cur.reliable_order)
-    return cur
+        src, dst, binom, power = _binomial_map(a.num_vars, a.order, var)
+        k = src.searchsorted(len(graded))
+        graded = np.bincount(dst[:k], weights=graded[src[:k]] * binom[:k] * c ** power[:k],
+                             minlength=len(graded))
+    return a._like(graded)
 
 
 def jet_reciprocal(a: Jet) -> Jet:
-    """Multiplicative inverse of a jet with nonzero constant term."""
-    a0 = a.constant_term
-    if a0 == 0.0:
+    """Multiplicative inverse of a jet with nonzero constant term: the 1 x 1
+    case of :func:`jet_matrix_inverse`."""
+    if a.constant_term == 0.0:
         raise StructuralError("cannot invert a jet with zero constant term")
-    x = Jet.constant(a.num_vars, a.order, 1.0 / a0)
-    two = Jet.constant(a.num_vars, a.order, 2.0)
-    for _ in range(max(1, math.ceil(math.log2(a.order + 1))) + 1):
-        x = jet_mul(x, two - jet_mul(a, x))
-    return Jet(a.num_vars, a.order, x.coeffs,
-               min(a.reliable_order, a.order))
+    return jet_matrix_inverse([[a]])[0][0]
 
 
 def jet_matrix_mul(A: Sequence[Sequence[Jet]], B: Sequence[Sequence[Jet]]) -> list[list[Jet]]:
@@ -620,35 +662,40 @@ def jet_matrix_mul(A: Sequence[Sequence[Jet]], B: Sequence[Sequence[Jet]]) -> li
 
 def jet_linear_map(A, jets: Sequence[Jet]) -> list[Jet]:
     """``A @ jets`` for a numeric matrix ``A``: entry i is the sum over j of
-    ``A[i, j] * jets[j]``.  A vector ``A`` is one row."""
+    ``A[i, j] * jets[j]``.  A vector ``A`` is one row.  The sum runs over j
+    in order on the coefficient arrays, so entry i has the bits of that sum
+    of jets."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     jets = list(jets)
     if not jets or A.shape[1] != len(jets):
         raise StructuralError(f"a matrix of shape {A.shape} needs one jet per "
                               f"column (at least one), got {len(jets)}")
-    num_vars, order = jets[0].num_vars, jets[0].order
     for jet in jets:
         jets[0]._check_shape(jet)
     reliable = min(jet.reliable_order for jet in jets)
-    out = []
-    for row in A:
-        acc: dict[MultiIndex, float] = {}
-        for a, jet in zip(row, jets):
-            for idx, c in jet.coeffs.items():
-                acc[idx] = acc.get(idx, 0.0) + a * c
-        out.append(Jet(num_vars, order, acc, reliable))
-    return out
+    graded = np.zeros((len(jets), max(len(jet._graded) for jet in jets)))
+    for row, jet in zip(graded, jets):
+        row[:len(jet._graded)] = jet._graded
+    acc = A[:, :1] * graded[0]
+    for j in range(1, len(jets)):
+        acc += A[:, j:j + 1] * graded[j]
+    return [jets[0]._like(row, reliable) for row in acc]
 
 
 def jet_matrix_inverse(M: Sequence[Sequence[Jet]]) -> list[list[Jet]]:
     """Inverse of a square jet matrix with invertible constant part, by
-    Newton iteration (quadratic convergence in achieved degree)."""
+    Newton iteration (quadratic convergence in achieved degree).  A singular
+    constant part is refused with :class:`StructuralError`."""
     p = len(M)
     if any(len(row) != p for row in M):
         raise StructuralError("jet matrix must be square")
     num_vars, order = M[0][0].num_vars, M[0][0].order
     M0 = np.array([[M[i][j].constant_term for j in range(p)] for i in range(p)])
-    X0 = np.linalg.inv(M0)  # raises LinAlgError if singular constant part
+    try:
+        X0 = np.linalg.inv(M0)
+    except np.linalg.LinAlgError:
+        raise StructuralError("cannot invert a jet matrix with a singular "
+                              "constant part") from None
     X = [[Jet.constant(num_vars, order, X0[i, j]) for j in range(p)] for i in range(p)]
     two_id = [[Jet.constant(num_vars, order, 2.0 if i == j else 0.0)
                for j in range(p)] for i in range(p)]
@@ -690,47 +737,81 @@ def count_monomials(num_vars: int, degree: int) -> int:
 
 # -- the graded monomial basis ----------------------------------------------
 
+# cap on the size of a jet shape's tables (m variables): the exponents of
+# the basis, m C(m + order, m), and C(2m + order, 2m), a bound on the product
+# pairs, so that no input builds tables of gigabytes
+_SHAPE_CAP = 500_000
+
 
 class _GradedTable:
-    """The constant-free monomials of degree 1..order in graded-lex order,
-    and the index triples of the derivation D_V g = sum_j V_j dg/dx_j on
-    them.
+    """The graded basis of jets in ``num_vars`` variables to ``order``, and
+    the index tables of the kernels that run on it.
 
-    ``ends[d]`` counts the monomials of degree 1..d, so the degree-d ones
-    sit at ``ends[d-1]:ends[d]``, and ``var[i]`` is the position of x_i
-    (graded lex lists x_{m-1} first).  A field V is an (m, D) array with
-    ``V[j, a]`` the coefficient of monomial a in V_j.  Triple t adds
-    ``V.flat[coeff[t]] * weight[t]`` to the operator entry in row
-    ``row[t]`` and column ``col[t]``: column b = x^beta, weight beta_j, row
-    x^(alpha + beta - e_j) for coeff = j D + alpha.  Triples are sorted by
-    (row, column); a row never has a lower degree than its column, so the
-    first ``triple_ends[d]`` triples build the leading block on degrees
-    1..d.
+    ``monomials`` lists the constant-free monomials of degree 1..order in
+    graded-lex order; ``basis`` is the constant followed by them, the layout
+    of a jet's coefficient array, with ``position`` the inverse map and
+    ``exponents`` the (len(basis), m) exponent array.  ``ends[d]`` counts
+    the monomials of degree 1..d, so the degree-d ones sit at
+    ``ends[d-1]:ends[d]`` of ``monomials`` (at ``ends[d-1]+1:ends[d]+1`` of
+    a jet's array), and ``var[i]`` is the position of x_i in ``monomials``
+    (graded lex lists x_{m-1} first).
+
+    The derivation triples and the product table are built on first use.
+    A field V is an (m, D) array with ``V[j, a]`` the coefficient of
+    monomial a in V_j.  Triple t adds ``V.flat[coeff[t]] * weight[t]`` to
+    the operator entry in row ``row[t]`` and column ``col[t]``: column b =
+    x^beta, weight beta_j, row x^(alpha + beta - e_j) for coeff = j D +
+    alpha.  Triples are sorted by (row, column); a row never has a lower
+    degree than its column, so the first ``triple_ends[d]`` triples build
+    the leading block on degrees 1..d.
 
     The product table lists every pair of monomials ``left[q]``,
     ``right[q]`` whose product ``target[q]`` has degree <= order, sorted by
     that degree, so the first ``pair_ends[d]`` pairs are the products on
     degrees 1..d."""
 
-    __slots__ = ("monomials", "index", "ends", "var", "row", "col", "coeff", "weight",
-                 "triple_ends", "left", "right", "target", "pair_ends")
+    _TRIPLES = ("row", "col", "coeff", "weight", "triple_ends")
+    _PAIRS = ("left", "right", "target", "pair_ends")
 
     def __init__(self, num_vars: int, order: int):
+        if num_vars < 1:
+            raise StructuralError(f"num_vars must be >= 1, got {num_vars}")
+        if order < 1:
+            raise StructuralError(f"order must be >= 1, got {order}")
         m = num_vars
+        if max(m * math.comb(m + order, m), math.comb(2 * m + order, order)) > _SHAPE_CAP:
+            raise StructuralError(f"jets in {m} variables to order {order} are too "
+                                  f"large for the dense graded basis")
+        self.order = order
         self.monomials = [a for d in range(1, order + 1)
                           for a in monomials_of_degree(m, d)]
-        self.index = {a: i for i, a in enumerate(self.monomials)}
-        size = len(self.monomials)
-        E = np.array([a.exponents for a in self.monomials], dtype=np.int64)
-        degree = E.sum(axis=1)
+        self.basis = [MultiIndex((0,) * m)] + self.monomials
+        self.position = {a: i for i, a in enumerate(self.basis)}
+        self.exponents = np.array([a.exponents for a in self.basis], dtype=np.int64)
         self.ends = np.array([math.comb(m + d, d) - 1 for d in range(order + 1)])
         self.var = _graded_rank(np.eye(m, dtype=np.int64), self.ends)
+        for arr in (self.exponents, self.ends, self.var):
+            arr.flags.writeable = False
+
+    def __getattr__(self, name: str):
+        if name in _GradedTable._TRIPLES:
+            self._build_triples()
+        elif name in _GradedTable._PAIRS:
+            self._build_pairs()
+        else:
+            raise AttributeError(name)
+        return self.__dict__[name]
+
+    def _build_triples(self) -> None:
+        E = self.exponents[1:]
+        size, m = E.shape
+        degree = E.sum(axis=1)
         targets, columns, coeffs, weights = [], [], [], []
         for j in range(m):
             # columns x^beta with beta_j > 0; alpha runs over the monomials
             # of degree <= order + 1 - |beta|, a prefix of the basis
             cols = np.flatnonzero(E[:, j])
-            col, alpha = _prefix_pairs(cols, self.ends[order + 1 - degree[cols]])
+            col, alpha = _prefix_pairs(cols, self.ends[self.order + 1 - degree[cols]])
             target = E[alpha] + E[col]
             target[:, j] -= 1
             targets.append(_graded_rank(target, self.ends))
@@ -739,20 +820,27 @@ class _GradedTable:
             weights.append(E[col, j])
         key = np.concatenate(targets) * size + np.concatenate(columns)
         perm = np.argsort(key, kind="stable")
-        self.row, self.col = np.divmod(key[perm], size)
-        self.coeff = np.concatenate(coeffs)[perm]
-        self.weight = np.concatenate(weights)[perm].astype(float)
-        self.triple_ends = np.searchsorted(self.row, self.ends)
-        left, right = _prefix_pairs(np.arange(size), self.ends[order - degree])
+        row, col = np.divmod(key[perm], size)
+        self._freeze(row=row, col=col, coeff=np.concatenate(coeffs)[perm],
+                     weight=np.concatenate(weights)[perm].astype(float),
+                     triple_ends=np.searchsorted(row, self.ends))
+
+    def _build_pairs(self) -> None:
+        E = self.exponents[1:]
+        degree = E.sum(axis=1)
+        left, right = _prefix_pairs(np.arange(len(E)), self.ends[self.order - degree])
         total = degree[left] + degree[right]
         perm = np.argsort(total, kind="stable")
-        self.left, self.right = left[perm], right[perm]
-        self.target = _graded_rank(E[self.left] + E[self.right], self.ends)
-        self.pair_ends = np.searchsorted(total[perm], np.arange(order + 1), side="right")
-        for arr in (self.ends, self.var, self.row, self.col, self.coeff, self.weight,
-                    self.triple_ends, self.left, self.right, self.target,
-                    self.pair_ends):
+        left, right = left[perm], right[perm]
+        self._freeze(left=left, right=right,
+                     target=_graded_rank(E[left] + E[right], self.ends),
+                     pair_ends=np.searchsorted(total[perm], np.arange(self.order + 1),
+                                               side="right"))
+
+    def _freeze(self, **arrays: np.ndarray) -> None:
+        for name, arr in arrays.items():
             arr.flags.writeable = False
+            setattr(self, name, arr)
 
 
 def _prefix_pairs(rows: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -779,29 +867,115 @@ def _graded_rank(E: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return rank
 
 
-@lru_cache(maxsize=8)
+def _jet_positions(E: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Positions in a jet's coefficient array of the rows of ``E``,
+    exponents of degree 0..order."""
+    pos = np.zeros(len(E), dtype=np.int64)
+    nonconstant = E.sum(axis=1) > 0
+    pos[nonconstant] = 1 + _graded_rank(E[nonconstant], ends)
+    return pos
+
+
+@cache
 def _graded_table(num_vars: int, order: int) -> _GradedTable:
     return _GradedTable(num_vars, order)
 
 
+# -- index maps of the structural operations, one per shape and argument -----
+
+
+def _remap(graded: np.ndarray, src: np.ndarray, dst: np.ndarray, size: int,
+           weight: np.ndarray | None = None) -> np.ndarray:
+    """The length-``size`` array with ``graded[src] (* weight)`` at ``dst``,
+    for increasing ``src`` and one source per destination; sources past
+    ``graded`` are zero."""
+    k = src.searchsorted(len(graded))
+    out = np.zeros(size)
+    out[dst[:k]] = graded[src[:k]] if weight is None else graded[src[:k]] * weight[:k]
+    return out
+
+
+@cache
+def _shift_map(num_vars: int, order: int, var: int,
+               power: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x^alpha -> x^(alpha + power e_var) on the basis, for the monomials
+    whose image has degree 0..order, with the falling factorial
+    alpha_var!/(alpha_var + power)! of a derivative for power < 0."""
+    table = _graded_table(num_vars, order)
+    E = table.exponents
+    image = E.copy()
+    image[:, var] += power
+    src = np.flatnonzero((image[:, var] >= 0) & (image.sum(axis=1) <= order))
+    falling = np.ones(len(src))
+    for i in range(-power):
+        falling *= E[src, var] - i
+    return src, _jet_positions(image[src], table.ends), falling
+
+
+@cache
+def _relabel_map(num_vars: int, wide: int, order: int,
+                 positions: tuple[int | None, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The monomials free of each variable i with ``positions[i]`` None onto
+    the basis in ``wide`` variables, variable i moved to ``positions[i]``."""
+    E = _graded_table(num_vars, order).exponents
+    kept = [i for i, p in enumerate(positions) if p is not None]
+    src = np.flatnonzero(E.sum(axis=1) == E[:, kept].sum(axis=1))
+    image = np.zeros((len(src), wide), dtype=np.int64)
+    image[:, [positions[i] for i in kept]] = E[np.ix_(src, kept)]
+    return src, _jet_positions(image, _graded_table(wide, order).ends)
+
+
+@cache
+def _binomial_map(num_vars: int, order: int,
+                  var: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(src, dst, C(e, j), e - j) for x^alpha -> x^alpha with alpha_var = e
+    replaced by j = 0..e: the terms of (x_var + c)^e, by increasing src."""
+    table = _graded_table(num_vars, order)
+    E = table.exponents
+    e = E[:, var]
+    src, j = _prefix_pairs(np.arange(len(E)), e + 1)
+    image = E[src].copy()
+    image[:, var] = j
+    binom = np.array([math.comb(int(a), int(b)) for a, b in zip(e[src], j)], dtype=float)
+    return src, _jet_positions(image, table.ends), binom, (e[src] - j).astype(float)
+
+
+# -- packing for the graded kernels ------------------------------------------
+
+
 def _graded_coeffs(jets: Iterable[Jet], table: _GradedTable) -> np.ndarray:
-    """(len(jets), D) coefficients of each jet on the graded basis; terms of
-    degree 0 and above the table's order are left out."""
+    """(len(jets), D) coefficients of each jet on the graded basis of
+    ``table``: each jet's array without the constant, cut or padded to the
+    table's order."""
     jets = list(jets)
     out = np.zeros((len(jets), len(table.monomials)))
-    for i, jet in enumerate(jets):
-        for idx, c in jet.coeffs.items():
-            pos = table.index.get(idx)
-            if pos is not None:
-                out[i, pos] = c
+    for row, jet in zip(out, jets):
+        graded = jet._graded[1:len(row) + 1]
+        row[:len(graded)] = graded
     return out
 
 
 def _graded_jets(coeffs: np.ndarray, table: _GradedTable, num_vars: int, order: int,
                  reliable_order: int | None = None) -> list[Jet]:
     """Jets (storage order ``order``) from rows of graded-basis coefficients."""
-    return [Jet(num_vars, order, dict(zip(table.monomials, row.tolist())), reliable_order)
+    return [Jet._from_graded(num_vars, order, np.concatenate(([0.0], row)), reliable_order)
             for row in coeffs]
+
+
+def _mul_matrix(graded: np.ndarray, table: _GradedTable, degree: int) -> np.ndarray:
+    """Truncated multiplication by the jet with coefficient array ``graded``
+    on the basis of degree 0..``degree``: row s holds the coefficients of
+    ``table.basis[s]`` times the jet.  Each entry is one coefficient of the
+    jet; nothing sums."""
+    n = table.ends[degree] + 1
+    c = np.zeros(n)
+    c[:min(n, len(graded))] = graded[:n]
+    mult = np.zeros((n, n))
+    mult[0] = c
+    mult[np.arange(1, n), np.arange(1, n)] = c[0]
+    q = table.pair_ends[degree]
+    mult[1 + table.left[:q], 1 + table.target[:q]] = c[1 + table.right[:q]]
+    return mult
 
 
 def _derivation(V: np.ndarray, table: _GradedTable, degree: int) -> np.ndarray:
@@ -833,13 +1007,10 @@ def _composition_matrix(inner: np.ndarray, out_table: _GradedTable,
     m = len(inner)
     ends_out, ends_in = out_table.ends, in_table.ends
     n = ends_in[degree]
-    q = in_table.pair_ends[degree]
-    left, right, target = in_table.left[:q], in_table.right[:q], in_table.target[:q]
     phi = np.zeros((ends_out[degree], n))
     phi[out_table.var] = inner[:, :n]
     for j in reversed(range(m)):
-        mult = np.zeros((n, n))
-        mult[left, target] = inner[j, right]  # one b per (a, target): nothing sums
+        mult = _mul_matrix(np.concatenate(([0.0], inner[j])), in_table, degree)[1:, 1:]
         k = m - 1 - j  # variables after x_j
         for d in range(2, degree + 1):
             start = ends_out[d - 1] + (math.comb(d + k - 1, k - 1) if k else 0)

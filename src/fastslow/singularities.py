@@ -21,11 +21,11 @@ import numpy as np
 from .errors import (ConvergenceError, DegenerateCaseError, PreconditionError,
                      StructuralError)
 from .jets import (Jet, JetVector, MultiIndex, _compose, _composition_matrix,
-                   _graded_coeffs, _graded_jets, _graded_table, jet_linear_map,
-                   jet_matrix_mul, jet_mul, jet_partial, jet_reciprocal,
-                   jetvector_compose, monomials_of_degree)
+                   _graded_coeffs, _graded_jets, _graded_table, _mul_matrix,
+                   jet_linear_map, jet_matrix_mul, jet_mul, jet_partial,
+                   jet_reciprocal, jetvector_compose, monomials_of_degree)
 from .model import FastSlowMapSpec, extended_map_jets, nontrivial_multipliers
-from .embedding import (EmbeddingResult, _finite_series, _nilpotent_powers,
+from .embedding import (EmbeddingResult, _finite_series, _nilpotent_depth,
                         takens_embed_unipotent)
 from .tols import DEFAULT_TOLS, Tolerances
 
@@ -235,30 +235,20 @@ def _jet_divide_lstsq(numer: Jet, divisor: Jet, quotient_degree: int,
                       match_degree: int | None = None) -> tuple[Jet, float]:
     """Best quotient q with q * divisor = numer through ``match_degree``.
 
-    Solved as a dense least-squares problem on the monomial basis; the
-    returned residual is the largest unmatched coefficient.
+    Solved as a dense least-squares problem on the graded basis, with the
+    divisor's multiplication matrix; the returned residual is the largest
+    unmatched coefficient.
     """
     m, order = numer.num_vars, numer.order
     match = order if match_degree is None else match_degree
-    cols: list[MultiIndex] = []
-    for d in range(quotient_degree + 1):
-        cols.extend(monomials_of_degree(m, d))
-    rows: list[MultiIndex] = []
-    for d in range(match + 1):
-        rows.extend(monomials_of_degree(m, d))
-    row_of = {idx: i for i, idx in enumerate(rows)}
-    A = np.zeros((len(rows), len(cols)))
-    for j, beta in enumerate(cols):
-        for idx, c in divisor.coeffs.items():
-            if beta.degree + idx.degree <= match:
-                A[row_of[beta + idx], j] = c
-    b = np.zeros(len(rows))
-    for idx, c in numer.coeffs.items():
-        if idx.degree <= match:
-            b[row_of[idx]] = c
+    table = _graded_table(m, order)
+    rows = table.ends[match] + 1
+    cols = table.ends[quotient_degree] + 1 if quotient_degree >= 0 else 0
+    A = _mul_matrix(divisor._graded, table, max(match, quotient_degree))[:cols, :rows].T
+    b = np.zeros(rows)
+    b[:min(rows, len(numer._graded))] = numer._graded[:rows]
     sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-    q = Jet.from_terms(m, order, {cols[j].exponents: sol[j]
-                                  for j in range(len(cols)) if sol[j] != 0.0})
+    q = Jet._from_graded(m, order, sol)
     resid = (jet_mul(q, divisor) - numer).degree_cap(match).max_abs()
     return q, resid
 
@@ -303,8 +293,7 @@ def embed_2d(spec: FastSlowMapSpec, order: int | None = None,
 
     # slow component must be eps * (g0 + higher order)
     v2 = V[1]
-    slow_eps0 = max((abs(c) for idx, c in v2.coeffs.items()
-                     if idx.exponents[2] == 0), default=0.0)
+    slow_eps0 = v2.subs_zero(2).max_abs()
     g0_slow = v2.coefficient((0, 0, 1))
 
     # fast component at eps = 0 factors as K * j^r f with K(0,0) = 1
@@ -610,18 +599,13 @@ class CenterManifoldData:
 
 def _split_var_divisible(jet: Jet, var: int, tol: float, what: str) -> Jet:
     """Drop sub-tolerance terms not carrying ``var``; reject larger ones."""
-    keep = {}
-    worst = 0.0
-    for idx, c in jet.coeffs.items():
-        if idx.exponents[var] == 0:
-            worst = max(worst, abs(c))
-        else:
-            keep[idx] = c
+    free = jet.subs_zero(var)
+    worst = free.max_abs()
     if worst > tol:
         raise StructuralError(
             f"{what} has a coefficient {worst:.3g} not divisible by the "
             f"critical variable; the graph solve did not converge")
-    return Jet(jet.num_vars, jet.order, keep, jet.reliable_order)
+    return jet - free
 
 
 def _graph_solve(C: np.ndarray, Phi: np.ndarray, rhs: np.ndarray,
@@ -692,7 +676,7 @@ def center_manifold_restricted_map(nf: ContactNormalForm,
             if d <= 2:  # M is final from degree 2 on, see below
                 inner[:, table.var] = M
                 phi = _composition_matrix(inner, table, table, order)
-                depth = len(_nilpotent_powers(M - np.eye(mred), tols.nilp))
+                depth = _nilpotent_depth(M - np.eye(mred), tols.nilp)
             # pass d needs degree d of the defect only
             _, defect = on_graph(W, d)
             part = slice(table.ends[d - 1], table.ends[d])

@@ -11,9 +11,10 @@ import scipy.sparse
 from hypothesis import settings
 
 from fastslow.dynamics import _MapRunner, _interpolate_crossing
+from fastslow.errors import StructuralError, UnsupportedCaseError
 from fastslow.jets import (Jet, JetVector, MultiIndex, jet_mul, jet_partial,
                            monomials_of_degree)
-from fastslow.model import FastSlowMapSpec, standard_form_2d
+from fastslow.model import FastSlowMapSpec, nilpotency_index, standard_form_2d
 from fastslow.singularities import check_regular_contact
 
 # property tests must not fail on timing (host speed varies) nor vary from
@@ -309,6 +310,138 @@ def compose_oracle(outer, inner):
         for i2, c2 in term.coeffs.items():
             acc[i2] = acc.get(i2, 0.0) + c * c2
     return Jet(m, order, acc, reliable)
+
+
+def nilpotent_powers(L, tol):
+    """[I, L, L^2, ...] up to the last nonzero power; refuses a matrix that
+    is not nilpotent."""
+    dim = L.shape[0]
+    idx = nilpotency_index(L, tol)
+    if idx is None:
+        raise UnsupportedCaseError(
+            "linear part is not nilpotent; run jordan_chevalley_split for the "
+            "semisimple/nilpotent diagnosis")
+    out = [np.eye(dim)]
+    for _ in range(idx - 1):
+        out.append(out[-1] @ L)
+    return out
+
+
+# -- dict references for the jet kernels: each works on ``Jet.coeffs`` and
+# sums into a dict keyed by MultiIndex, term by term
+
+
+def jet_mul_oracle(a, b):
+    """Reference for ``jet_mul``."""
+    a._check_shape(b)
+    order = a.order
+    out = {}
+    for ia, ca in a.coeffs.items():
+        for ib, cb in b.coeffs.items():
+            if ia.degree + ib.degree <= order:
+                key = ia + ib
+                out[key] = out.get(key, 0.0) + ca * cb
+    return Jet(a.num_vars, order, out, min(a.reliable_order, b.reliable_order))
+
+
+def jet_partial_oracle(a, var):
+    """Reference for ``jet_partial``."""
+    out = {}
+    for idx, c in a.coeffs.items():
+        e = idx.exponents[var]
+        if e:
+            out[idx.replace(var, e - 1)] = c * e
+    return Jet(a.num_vars, a.order, out, a.reliable_order - 1)
+
+
+def jet_shift_oracle(a, offsets):
+    """Reference for ``jet_shift``: one variable at a time, by the binomial
+    expansion of each term."""
+    cur = a
+    for var, c in enumerate(offsets):
+        c = float(c)
+        if c == 0.0:
+            continue
+        out = {}
+        for idx, coeff in cur.coeffs.items():
+            e = idx.exponents[var]
+            for j in range(e + 1):
+                key = idx.replace(var, j)
+                out[key] = out.get(key, 0.0) + coeff * math.comb(e, j) * c ** (e - j)
+        cur = Jet(a.num_vars, a.order, out, cur.reliable_order)
+    return cur
+
+
+def jet_linear_map_oracle(A, jets):
+    """Reference for ``jet_linear_map``."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    reliable = min(jet.reliable_order for jet in jets)
+    out = []
+    for row in A:
+        acc = {}
+        for a, jet in zip(row, jets):
+            for idx, c in jet.coeffs.items():
+                acc[idx] = acc.get(idx, 0.0) + a * c
+        out.append(Jet(jets[0].num_vars, jets[0].order, acc, reliable))
+    return out
+
+
+def _filtered(jet, keep, num_vars=None, order=None, reliable=None):
+    """The terms (index, c) of ``jet`` that ``keep`` maps to a new key, or
+    drops with None."""
+    out = {}
+    for idx, c in jet.coeffs.items():
+        key = keep(idx)
+        if key is not None:
+            out[key] = c
+    return Jet(num_vars or jet.num_vars, order or jet.order, out,
+               jet.reliable_order if reliable is None else reliable)
+
+
+def _dropping(var):
+    def keep(idx):
+        if idx.exponents[var]:
+            raise StructuralError(f"jet depends on variable {var}")
+        return idx.exponents[:var] + idx.exponents[var + 1:]
+    return keep
+
+
+def _dividing(var, power):
+    def keep(idx):
+        e = idx.exponents[var]
+        if e < power:
+            raise StructuralError(f"term {idx.exponents} not divisible by variable "
+                                  f"{var}^{power}")
+        return idx.replace(var, e - power)
+    return keep
+
+
+def _extending(num_vars, positions):
+    def keep(idx):
+        exps = [0] * num_vars
+        for old, new in enumerate(positions):
+            exps[new] = idx.exponents[old]
+        return tuple(exps)
+    return keep
+
+
+# name -> reference for ``getattr(jet, name)(*args)``
+STRUCTURAL_ORACLES = {
+    "degree_part": lambda jet, d: _filtered(jet, lambda i: i if i.degree == d else None),
+    "degree_cap": lambda jet, d: _filtered(jet, lambda i: i if i.degree <= d else None),
+    "truncated": lambda jet, order: _filtered(
+        jet, lambda i: i if i.degree <= order else None, order=order,
+        reliable=min(jet.reliable_order, order)),
+    "subs_zero": lambda jet, var: _filtered(
+        jet, lambda i: i if i.exponents[var] == 0 else None),
+    "drop_var": lambda jet, var: _filtered(jet, _dropping(var), num_vars=jet.num_vars - 1),
+    "div_var": lambda jet, var, power: _filtered(jet, _dividing(var, power)),
+    "mul_var": lambda jet, var, power: _filtered(
+        jet, lambda i: (i.replace(var, i.exponents[var] + power)
+                        if i.degree + power <= jet.order else None)),
+    "extend_vars": lambda jet, num_vars, positions: _filtered(
+        jet, _extending(num_vars, positions), num_vars=num_vars),
+}
 
 
 @dataclass

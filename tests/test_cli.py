@@ -206,6 +206,15 @@ class TestCommands:
         assert out == ""
         assert err.startswith("error[ConvergenceError]: ") and err.count("\n") == 1
 
+    def test_embed_residual_above_band_exit_1(self, fold_file, capsys):
+        # the fold embeds with a residual of a few 1e-14; a band of 1e-20
+        # refuses it with one error line and no field
+        assert execute_command(["embed", "--spec", fold_file,
+                                "--tol", "embed_residual=1e-20"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error[ConvergenceError]: ") and err.count("\n") == 1
+
     def test_selftest(self, capsys):
         assert execute_command(["selftest"]) == 0
         assert "8/8 checks passed" in capsys.readouterr().out
@@ -448,6 +457,15 @@ class TestNonFiniteInput:
 
 
 class TestMalformedInput:
+    def test_spec_order_past_the_basis_cap_exit_2(self, tmp_path, capsys):
+        # order 400 in three variables would need tables of gigabytes
+        path = tmp_path / "big.map"
+        path.write_text(FOLD_TEXT.replace("order 4", "order 400"))
+        assert execute_command(["classify", "--spec", str(path),
+                                "--point", "0,0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[ParseError]: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("order", ["order 2", "order 0"])
     def test_spec_order_refused_exit_2(self, tmp_path, capsys, order):
         path = tmp_path / "bad.map"

@@ -246,6 +246,21 @@ class TestStructureHelpers:
                 target = Jet.constant(2, 4, 1.0 if i == j else 0.0)
                 assert max_coeff_diff(prod, target) <= 1e-12
 
+    def test_reciprocal_refuses_zero_constant(self):
+        with pytest.raises(StructuralError):
+            jet_reciprocal(Jet.variable(2, 4, 0))
+
+    def test_matrix_inverse_refuses_singular_constant_part(self):
+        one = Jet.constant(2, 4, 1.0) + Jet.variable(2, 4, 1)
+        with pytest.raises(StructuralError):
+            jet_matrix_inverse([[one, one], [one, one]])
+
+    def test_reciprocal_is_the_one_by_one_matrix_inverse(self):
+        rng = np.random.default_rng(19)
+        for m in range(1, 5):
+            a = random_jet(rng, m, 5) + 1.5
+            assert jet_reciprocal(a) == jet_matrix_inverse([[a]])[0][0]
+
     def test_var_bookkeeping(self):
         a = J(2, 3, {(1, 2): 2.0})
         wide = a.extend_vars(3)

@@ -27,9 +27,10 @@ from fastslow.cli import execute_command
 from fastslow.dynamics import (Box, _seed_on_manifold, branch_selection_experiment,
                                compile_jet_callable, fit_powerlaw,
                                fold_exit_experiment, integrate_time1)
-from fastslow.embedding import (_nilpotent_powers, _takens_solve, _time1,
-                                flow_time1_jet, takens_embed_unipotent)
-from fastslow.jets import (Jet, JetVector, _composition_matrix, _derivation,
+from fastslow.embedding import (_takens_solve, _time1, flow_time1_jet,
+                                takens_embed_unipotent)
+from fastslow.errors import StructuralError
+from fastslow.jets import (Jet, JetVector, MultiIndex, _composition_matrix, _derivation,
                            _graded_coeffs, _graded_jets, _graded_table, jet_compose,
                            jet_linear_map, jet_mul, jet_partial, jet_shift,
                            jetvector_compose, max_coeff_diff, monomials_of_degree)
@@ -42,10 +43,13 @@ from fastslow.singularities import (_graph_solve, _newton_rectify,
                                     embed_on_center_manifold)
 from fastslow.specfiles import emit_mapspec, parse_mapspec
 from fastslow.tols import DEFAULT_TOLS
-from conftest import (compose_oracle, csr_derivation_oracle, csr_time1_oracle,
-                      graph_operator_oracle, lie_series_oracle, make_contact3d_spec,
-                      make_fold_spec, make_pitchfork_spec, make_transcritical_spec,
-                      orbit_oracle, random_contact_spec, random_nilpotent_field,
+from conftest import nilpotent_powers as _nilpotent_powers
+from conftest import (STRUCTURAL_ORACLES, compose_oracle, csr_derivation_oracle,
+                      csr_time1_oracle, graph_operator_oracle, jet_linear_map_oracle,
+                      jet_mul_oracle, jet_partial_oracle, jet_shift_oracle,
+                      lie_series_oracle, make_contact3d_spec, make_fold_spec,
+                      make_pitchfork_spec, make_transcritical_spec, orbit_oracle,
+                      random_contact_spec, random_nilpotent_field,
                       takens_operator_oracle)
 
 COEFF = st.floats(-0.8, 0.8, allow_nan=False, allow_subnormal=False)
@@ -339,6 +343,83 @@ def test_shift_round_trip(case):
     shifted = jet_shift(jet, offsets)
     back = jet_shift(shifted, [-c for c in offsets])
     assert max_coeff_diff(back, jet) <= 1e-12 * max(1.0, shifted.max_abs())
+
+
+# -- the array kernels against the dict references of conftest ----------------
+
+
+@st.composite
+def seeded_jets(draw, count):
+    """``count`` jets of one shape, m <= 4 and order <= 6: each holds every
+    monomial of degree 0..top with probability ``fill`` (sparse to dense),
+    so arrays of every trimmed length occur, and has a reliable order at or
+    below the order."""
+    m, order = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    jets = []
+    for _ in range(count):
+        top = draw(st.integers(0, order))
+        fill = draw(st.sampled_from((0.0, 0.1, 0.5, 1.0)))
+        terms = {a: float(rng.uniform(-1.0, 1.0)) for d in range(top + 1)
+                 for a in monomials_of_degree(m, d) if rng.random() < fill}
+        jets.append(Jet(m, order, terms, draw(st.integers(order - 2, order))))
+    return jets
+
+
+def _matches(got, want, exact=True):
+    """Equal shape and reliable order, coefficients equal bit for bit (or
+    within 1e-13 times the reference's largest one), and ``coeffs`` holds
+    no zero and is keyed by the shared indices."""
+    assert (got.num_vars, got.order, got.reliable_order) == \
+        (want.num_vars, want.order, want.reliable_order)
+    if exact:
+        assert got.coeffs == want.coeffs
+    else:
+        assert max_coeff_diff(got, want) <= 1e-13 * want.max_abs()
+    assert all(c != 0.0 for c in got.coeffs.values())
+    assert all(key is MultiIndex(key.exponents) for key in got.coeffs)
+
+
+@given(seeded_jets(1), st.integers(0, 3), st.integers(-1, 7), st.integers(0, 3),
+       st.randoms(use_true_random=False))
+def test_structural_operations_equal_dict_oracles(jets, var, degree, power, rnd):
+    (jet,) = jets
+    m, order = jet.num_vars, jet.order
+    var %= m
+    _matches(jet_partial(jet, var), jet_partial_oracle(jet, var))
+    calls = [("degree_part", degree), ("degree_cap", degree), ("subs_zero", var),
+             ("truncated", max(1, degree)), ("mul_var", var, power)]
+    wide = m + rnd.randint(0, 2)
+    calls.append(("extend_vars", wide, tuple(rnd.sample(range(wide), m))))
+    divisible = STRUCTURAL_ORACLES["mul_var"](jet, var, power)
+    free = STRUCTURAL_ORACLES["subs_zero"](jet, var)
+    for name, *args in calls:
+        _matches(getattr(jet, name)(*args), STRUCTURAL_ORACLES[name](jet, *args))
+    _matches(divisible.div_var(var, power),
+              STRUCTURAL_ORACLES["div_var"](divisible, var, power))
+    if m > 1:
+        _matches(free.drop_var(var), STRUCTURAL_ORACLES["drop_var"](free, var))
+    # a term that does not carry x_var^power is refused by both
+    if any(idx.exponents[var] < power for idx in jet.coeffs):
+        with pytest.raises(StructuralError):
+            jet.div_var(var, power)
+        with pytest.raises(StructuralError):
+            STRUCTURAL_ORACLES["div_var"](jet, var, power)
+    if m > 1 and not free == jet:
+        with pytest.raises(StructuralError):
+            jet.drop_var(var)
+
+
+@given(seeded_jets(3), st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+       st.lists(COEFF, min_size=6, max_size=6))
+def test_products_shifts_and_linear_maps_match_dict_oracles(jets, offsets, entries):
+    a, b, c = jets
+    _matches(jet_mul(a, b), jet_mul_oracle(a, b), exact=False)
+    offsets = offsets[:a.num_vars]
+    _matches(jet_shift(a, offsets), jet_shift_oracle(a, offsets), exact=False)
+    A = np.reshape(entries, (2, 3))
+    for got, want in zip(jet_linear_map(A, jets), jet_linear_map_oracle(A, jets)):
+        _matches(got, want, exact=False)
 
 
 @st.composite
@@ -715,6 +796,7 @@ def _check_cli_exit(argv, fuzz_dir):
     assert "Traceback" not in stderr
     if code != 0 and not refused:
         assert ERROR_LINE.fullmatch(stderr), (argv, stderr)
+    return code, out.getvalue()
 
 
 @settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
@@ -741,6 +823,22 @@ def test_cli_fuzz_spec_text(fuzz_dir, spec, command, out):
     if out and "--out" in COMMAND_OPTIONS[command]:
         argv += ["--out", "@out"]
     _check_cli_exit(argv, fuzz_dir)
+
+
+@settings(max_examples=40)
+@given(contact_specs(), st.sampled_from(("contact", "center-manifold")))
+def test_cli_on_random_contact_specs(fuzz_dir, case, command):
+    """contact and center-manifold on emitted random contact specs: exit 0
+    with the verdict line, or exit 1 or 2 with one error line."""
+    n, k, seed = case
+    spec = random_contact_spec(np.random.default_rng(seed), n, k)
+    (fuzz_dir / "random_contact.map").write_text(emit_mapspec(spec))
+    argv = [command, "--spec", "@random_contact"]
+    if command == "contact":
+        argv += ["--point", ",".join("0" * n)]
+    code, stdout = _check_cli_exit(argv, fuzz_dir)
+    if code == 0:
+        assert stdout.splitlines()[-1] in ("contact", "center-manifold pipeline ok")
 
 
 # ---------------------------------------------------------------------------

@@ -12,18 +12,25 @@ P^-1 V(P x), so its linear part is not triangular.  H is embedded twice: by
 ``takens_embed_unipotent``, and by the same function with its per-degree
 solve replaced by ``dense_takens_solve`` of ``tests/conftest.py``.
 
-Per input the file holds each solver's round trip,
-max |embedded - field| / max(1, |field|), and the gap between the two
-embeddings relative to the largest coefficient of the dense one.  The
-summary counts the inputs that meet a 1e-9 round trip with each solver and
-lists any that meets it with the dense solve only.  Not part of the test
-suite; it takes a few minutes on one core.
+Per input the file holds, for each solver, the round trip
+max |embedded - field| / max(1, |field|), the residual relative to
+max(1, |H|), and the refusal: the message of the ``ConvergenceError`` that
+``takens_embed_unipotent`` raises when that residual is above
+``embed_residual`` (default 1e-9), or null.  A refused input is embedded
+again with the band lifted, so its round trip and residual are recorded
+too.  The file also holds the gap between the two embeddings relative to
+the largest coefficient of the dense one.  The summary counts the inputs
+that meet a 1e-9 round trip and the inputs refused with each solver, lists
+the refused ones and any that meets the round trip with the dense solve
+only.  Not part of the test suite; it takes a few minutes on one core.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -34,14 +41,18 @@ import numpy as np  # noqa: E402
 
 from conftest import dense_takens_solve  # noqa: E402
 from fastslow import embedding  # noqa: E402
+from fastslow.errors import ConvergenceError  # noqa: E402
 from fastslow.jets import (JetVector, jet_linear_map, jetvector_compose,  # noqa: E402
                            max_coeff_diff)
+from fastslow.tols import DEFAULT_TOLS  # noqa: E402
 from perfbench.gen import nilpotent_field  # noqa: E402
 
 CELLS = {"m4o6": (4, 6), "m5o5": (5, 5), "m6o5": (6, 5), "m5o6": (5, 6)}
 SCALES = (1, 2, 3)
 SEEDS = range(12)
 ROUND_TRIP = 1e-9
+UNCHECKED = dataclasses.replace(DEFAULT_TOLS, embed_residual=math.inf)
+SOLVES = {"series": embedding._takens_solve, "dense": dense_takens_solve}
 
 
 def stress_field(m: int, order: int, scale: int, seed: int) -> JetVector:
@@ -56,13 +67,22 @@ def stress_field(m: int, order: int, scale: int, seed: int) -> JetVector:
                      m, order)
 
 
-def dense_embed(H: JetVector, order: int) -> JetVector:
+def embed(H: JetVector, order: int, solve) -> tuple[JetVector, float, str | None]:
+    """The field embedding ``H`` with the per-degree solve ``solve``, its
+    residual relative to max(1, |H|), and the refusal message at the
+    default tolerances (None if accepted)."""
     series = embedding._takens_solve
-    embedding._takens_solve = dense_takens_solve
+    embedding._takens_solve = solve
     try:
-        return embedding.takens_embed_unipotent(H, order).V
+        try:
+            embedding.takens_embed_unipotent(H, order)
+            refusal = None
+        except ConvergenceError as exc:
+            refusal = str(exc)
+        res = embedding.takens_embed_unipotent(H, order, UNCHECKED)
     finally:
         embedding._takens_solve = series
+    return res.V, res.residual / max(1.0, H.max_abs()), refusal
 
 
 def main() -> int:
@@ -76,27 +96,37 @@ def main() -> int:
             for seed in SEEDS:
                 V = stress_field(m, order, scale, seed)
                 H = embedding.flow_time1_jet(V, order)
-                got = {"series": embedding.takens_embed_unipotent(H, order).V,
-                       "dense": dense_embed(H, order)}
+                got = {name: embed(H, order, solve) for name, solve in SOLVES.items()}
                 size = max(1.0, V.max_abs())
                 inputs.append({
                     "cell": cell, "scale": scale, "seed": seed,
                     "round_trip": {name: max_coeff_diff(W, V) / size
-                                   for name, W in got.items()},
-                    "gap": max_coeff_diff(got["series"], got["dense"])
-                    / got["dense"].max_abs(),
+                                   for name, (W, _, _) in got.items()},
+                    "residual": {name: r for name, (_, r, _) in got.items()},
+                    "refusal": {name: msg for name, (_, _, msg) in got.items()},
+                    "gap": max_coeff_diff(got["series"][0], got["dense"][0])
+                    / got["dense"][0].max_abs(),
                 })
-                print(cell, scale, seed, inputs[-1]["round_trip"], inputs[-1]["gap"],
-                      file=sys.stderr)
+                print(cell, scale, seed, inputs[-1]["round_trip"], inputs[-1]["residual"],
+                      inputs[-1]["gap"], file=sys.stderr)
 
+    where = ("cell", "scale", "seed")
     meets = {name: sum(rec["round_trip"][name] <= ROUND_TRIP for rec in inputs)
-             for name in ("series", "dense")}
-    dense_only = [{k: rec[k] for k in ("cell", "scale", "seed")} for rec in inputs
+             for name in SOLVES}
+    refused = {name: [{k: rec[k] for k in where} for rec in inputs
+                      if rec["refusal"][name]] for name in SOLVES}
+    dense_only = [{k: rec[k] for k in where} for rec in inputs
                   if rec["round_trip"]["dense"] <= ROUND_TRIP < rec["round_trip"]["series"]]
     record = {
         "round_trip_bound": ROUND_TRIP,
+        "embed_residual": DEFAULT_TOLS.embed_residual,
         "numpy": np.__version__,
         "summary": {"inputs": len(inputs), "meet_round_trip": meets,
+                    "refused": {name: len(recs) for name, recs in refused.items()},
+                    "refused_series": refused["series"],
+                    "largest_accepted_residual": max(
+                        (rec["residual"]["series"] for rec in inputs
+                         if not rec["refusal"]["series"]), default=0.0),
                     "dense_only": dense_only,
                     "largest_gap": max(rec["gap"] for rec in inputs)},
         "inputs": inputs,
