@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -158,13 +159,15 @@ def jordan_chevalley_split(A: np.ndarray,
 
 def _finite_series(step, term: np.ndarray, coeffs: list[float]) -> np.ndarray:
     """sum_k coeffs[k] R_k for R_0 = ``term`` and R_k = step(R_{k-1}, k), exact
-    when R_len(coeffs) = 0; it stops early at an exactly zero term."""
-    total = coeffs[0] * term
+    when R_len(coeffs) = 0; it stops early at an exactly zero term.  A
+    coefficient of exactly 1 adds its term unscaled, which gives the same
+    bits as the product."""
+    total = term.copy() if coeffs[0] == 1.0 else coeffs[0] * term
     for k in range(1, len(coeffs)):
         term = step(term, k)
-        if not term.any():
+        if not np.count_nonzero(term):
             break
-        total = total + coeffs[k] * term
+        total += term if coeffs[k] == 1.0 else coeffs[k] * term
     return total
 
 
@@ -217,16 +220,22 @@ def _time1(V: np.ndarray, table: _GradedTable, degree: int, depth: int) -> np.nd
     X = np.zeros((op.shape[0], len(V)))
     X[table.var, np.arange(len(V))] = 1.0
     terms = degree + (depth - 1) * degree * (degree + 1) // 2
-    return _finite_series(lambda X, k: (op @ X) * (1.0 / k), X, [1.0] * terms).T
+
+    def step(X, k):
+        X = op @ X
+        X *= 1.0 / k
+        return X
+
+    return _finite_series(step, X, [1.0] * terms).T
 
 
 def _graded_finite(jets: JetVector, table: _GradedTable, what: str) -> np.ndarray:
     """Coefficients of ``jets`` on the graded basis of ``table``; refuses a
     non-finite one."""
     coeffs = _graded_coeffs(jets, table)
-    bad = np.argwhere(~np.isfinite(coeffs))
-    if len(bad):
-        i, a = bad[0]
+    finite = np.isfinite(coeffs)
+    if not finite.all():
+        i, a = np.argwhere(~finite)[0]
         raise PreconditionError(
             f"{what} component {i} has the non-finite coefficient {coeffs[i, a]!r} "
             f"at monomial {table.monomials[a].exponents}")
@@ -275,14 +284,22 @@ class EmbeddingResult:
 
 
 def _bernoulli_series(top: int) -> list[float]:
-    """B_k/k! for k = 0..``top``, each rounded once: the recurrence
-    sum_{j<=k} C(k+1, j) B_j = 0 runs on the integers B_j (top + 1)!, since
-    the denominator of B_k divides (k + 1)!."""
+    """B_k/k! for k = 0..``top``, each rounded once; a fresh list per call
+    from a table computed once per ``top``."""
+    return list(_bernoulli_table(top))
+
+
+@cache
+def _bernoulli_table(top: int) -> tuple[float, ...]:
+    """The recurrence sum_{j<=k} C(k+1, j) B_j = 0 runs on the integers
+    B_j (top + 1)!, since the denominator of B_k divides (k + 1)!.  It skips
+    the zero B_k of odd k > 1."""
     D = math.factorial(top + 1)
     BD = [D]
     for k in range(1, top + 1):
-        BD.append(-sum(math.comb(k + 1, j) * BD[j] for j in range(k)) // (k + 1))
-    return [BD[k] / (D * math.factorial(k)) for k in range(top + 1)]
+        BD.append(0 if k > 1 and k % 2 else
+                  -sum(math.comb(k + 1, j) * BD[j] for j in range(k) if BD[j]) // (k + 1))
+    return tuple(BD[k] / (D * math.factorial(k)) for k in range(top + 1))
 
 
 def _takens_solve(L: np.ndarray, A: np.ndarray, rhs: np.ndarray,
@@ -293,7 +310,13 @@ def _takens_solve(L: np.ndarray, A: np.ndarray, rhs: np.ndarray,
     N F = F A^T - L F that operator is e^X (e^N - 1)/N, so F = beta(N) e^-L rhs
     with beta(z) = z/(e^z - 1); N^k = 0 for k > (depth - 1)(l + 1)."""
     start = _finite_series(lambda F, k: (L @ F) * (-1.0 / k), rhs, [1.0] * depth)
-    return _finite_series(lambda F, k: F @ A.T - L @ F, start,
+
+    def step(F, k):
+        G = F @ A.T
+        G -= L @ F
+        return G
+
+    return _finite_series(step, start,
                           _bernoulli_series((depth - 1) * (degree + 1)))
 
 

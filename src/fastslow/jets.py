@@ -805,24 +805,25 @@ class _GradedTable:
     def _build_triples(self) -> None:
         E = self.exponents[1:]
         size, m = E.shape
-        degree = E.sum(axis=1)
-        targets, columns, coeffs, weights = [], [], [], []
-        for j in range(m):
-            # columns x^beta with beta_j > 0; alpha runs over the monomials
-            # of degree <= order + 1 - |beta|, a prefix of the basis
-            cols = np.flatnonzero(E[:, j])
-            col, alpha = _prefix_pairs(cols, self.ends[self.order + 1 - degree[cols]])
-            target = E[alpha] + E[col]
-            target[:, j] -= 1
-            targets.append(_graded_rank(target, self.ends))
-            columns.append(col)
-            coeffs.append(j * size + alpha)
-            weights.append(E[col, j])
-        key = np.concatenate(targets) * size + np.concatenate(columns)
-        perm = np.argsort(key, kind="stable")
-        row, col = np.divmod(key[perm], size)
-        self._freeze(row=row, col=col, coeff=np.concatenate(coeffs)[perm],
-                     weight=np.concatenate(weights)[perm].astype(float),
+        columns = np.ascontiguousarray(E.T)
+        degree = columns.sum(axis=0)
+        # the columns x^beta with beta_j > 0, j-major, and gamma = beta - e_j;
+        # alpha runs over the monomials of degree <= order + 1 - |beta|, a
+        # prefix of the basis
+        var, beta = np.nonzero(columns)
+        gamma = np.take(columns, beta, axis=1)
+        gamma[var, np.arange(len(var))] -= 1
+        pair, alpha = _prefix_pairs(np.arange(len(beta)),
+                                    self.ends[self.order + 1 - degree[beta]])
+        col, j = beta[pair], var[pair]
+        row = _graded_rank((np.take(columns, alpha, axis=1) + np.take(gamma, pair, axis=1)).T,
+                           self.ends)
+        # a (row, column) entry has at most one triple per j, so sorting by
+        # (row, column, j) orders the triples of an entry by j
+        perm = np.argsort((row * size + col) * m + j)
+        row, col, j = row[perm], col[perm], j[perm]
+        self._freeze(row=row, col=col, coeff=j * size + alpha[perm],
+                     weight=columns.ravel()[j * size + col].astype(float),
                      triple_ends=np.searchsorted(row, self.ends))
 
     def _build_pairs(self) -> None:
@@ -855,15 +856,18 @@ def _graded_rank(E: np.ndarray, ends: np.ndarray) -> np.ndarray:
 
     Within degree d, the tuples that share the first i exponents of e and
     have a smaller i-th one number C(r + k, k) - C(r - e_i + k, k), where
-    r = d - e_0 - ... - e_{i-1} and k = m - 1 - i slots remain after i."""
+    r = d - e_0 - ... - e_{i-1} and k = m - 1 - i slots remain after i.
+    It runs on the columns of ``E``, one exponent of every row at a time."""
     m = E.shape[1]
-    degree = E.sum(axis=1)
-    rank = ends[degree - 1].copy()
-    r = degree[:, None] - np.cumsum(E, axis=1) + E
+    columns = E.T
+    degree = columns.sum(axis=0)
+    rank = ends[degree - 1]
+    r = degree
     for i in range(m - 1):
         k = m - 1 - i
         comb = np.array([math.comb(n + k, k) for n in range(int(degree.max(initial=0)) + 1)])
-        rank += comb[r[:, i]] - comb[r[:, i] - E[:, i]]
+        rank = rank + comb[r] - comb[r - columns[i]]
+        r = r - columns[i]
     return rank
 
 

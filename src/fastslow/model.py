@@ -303,7 +303,12 @@ _NILPOTENCY_DIM_CAP = 64
 
 
 def nilpotency_index(M: np.ndarray, tol: float) -> int | None:
-    """Smallest l with ``M^l ~ 0`` relative to ``max(1, |M|)^l``, or None."""
+    """Smallest l with ``M^l ~ 0`` relative to ``max(1, |M|)^l``, or None.
+
+    The powers M^1..M^dim are formed up to the first exactly zero one, as
+    all later ones are zero too.  The 2-norms of M and of the powers before
+    the first non-finite one come from one stacked SVD; a non-finite power
+    is normed alone, and only if no earlier power passed."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise StructuralError("nilpotency index needs a square matrix")
@@ -313,11 +318,25 @@ def nilpotency_index(M: np.ndarray, tol: float) -> int | None:
             f"dimension {dim} exceeds the cap {_NILPOTENCY_DIM_CAP}")
     if dim == 0:
         return 1
-    scale = max(1.0, float(np.linalg.norm(M, 2)))
-    P = np.eye(dim)
+    stack = np.empty((dim + 1, dim, dim))  # M, then M^1, M^2, ...
+    stack[0] = M
+    np.matmul(np.eye(dim), M, out=stack[1])
+    formed = 1
+    while formed < dim and np.count_nonzero(stack[formed]):
+        np.matmul(stack[formed], M, out=stack[formed + 1])
+        formed += 1
+    finite = np.isfinite(stack[1:formed + 1]).all(axis=(1, 2))
+    count = formed if finite.all() else int(finite.argmin())
+    norms = np.linalg.svd(stack[:count + 1], compute_uv=False).max(axis=1).tolist()
+    scale = max(1.0, norms[0])
     for power in range(1, dim + 1):
-        P = P @ M
-        if np.linalg.norm(P, 2) <= tol * scale ** power:
+        if power <= count:
+            norm = norms[power]
+        elif power <= formed:
+            norm = np.linalg.norm(stack[power], 2)
+        else:
+            norm = 0.0
+        if norm <= tol * scale ** power:
             return power
     return None
 

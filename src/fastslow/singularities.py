@@ -24,7 +24,8 @@ from .jets import (Jet, JetVector, MultiIndex, _compose, _composition_matrix,
                    _graded_coeffs, _graded_jets, _graded_table, _mul_matrix,
                    jet_linear_map, jet_matrix_mul, jet_mul, jet_partial,
                    jet_reciprocal, jetvector_compose, monomials_of_degree)
-from .model import FastSlowMapSpec, extended_map_jets, nontrivial_multipliers
+from .model import (FastSlowMapSpec, _evaluate_matrix, extended_map_jets,
+                    nontrivial_multipliers)
 from .embedding import (EmbeddingResult, _finite_series, _nilpotent_depth,
                         takens_embed_unipotent)
 from .tols import DEFAULT_TOLS, Tolerances
@@ -416,17 +417,16 @@ def check_regular_contact(spec: FastSlowMapSpec, z,
     l, r = frame.l, frame.r
     Nr = N @ r
 
-    # quadratic nondegeneracy: l . (Hess f applied to (Nr, Nr) + Df DN(Nr, r))
-    hess_term = np.zeros(p)
-    for i in range(p):
-        H = np.array([[jet_partial(spec._df[i][a], b).evaluate(d)
-                       for b in range(n)] for a in range(n)])
-        hess_term[i] = Nr @ H @ Nr
-    dn_dir = np.zeros((n, p))  # derivative of N along the direction Nr
-    for a in range(n):
-        for j in range(p):
-            dn_dir[a, j] = sum(jet_partial(spec.N[a][j], mm).evaluate(d) * Nr[mm]
-                               for mm in range(n))
+    # quadratic nondegeneracy: l . (Hess f applied to (Nr, Nr) + Df DN(Nr, r));
+    # the Hessian rows and the partials of N each evaluate from one term table
+    hess = _evaluate_matrix([[jet_partial(spec._df[i][a], b) for b in range(n)]
+                             for i in range(p) for a in range(n)], d).reshape(p, n, n)
+    hess_term = np.array([Nr @ H @ Nr for H in hess])
+    dN = _evaluate_matrix([[jet_partial(spec.N[a][j], mm) for mm in range(n)]
+                           for a in range(n) for j in range(p)], d).reshape(n, p, n)
+    # derivative of N along the direction Nr
+    dn_dir = np.array([[sum(dN[a, j, mm] * Nr[mm] for mm in range(n)) for j in range(p)]
+                       for a in range(n)])
     df_dn_term = Df @ (dn_dir @ r)
     nondeg = float(l @ (hess_term + df_dn_term))
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import settings
 
 from fastslow.dynamics import _MapRunner, _interpolate_crossing
 from fastslow.errors import StructuralError, UnsupportedCaseError
-from fastslow.jets import (Jet, JetVector, MultiIndex, jet_mul, jet_partial,
+from fastslow.jets import (Jet, JetVector, MultiIndex, _derivation, jet_mul, jet_partial,
                            monomials_of_degree)
 from fastslow.model import FastSlowMapSpec, nilpotency_index, standard_form_2d
 from fastslow.singularities import check_regular_contact
@@ -278,6 +279,107 @@ def dense_graph_solve(C, Phi, rhs, depth, degree):
     :func:`graph_operator_oracle`; same arguments, B = I + C^-1."""
     B = np.eye(len(C)) + np.linalg.inv(C)
     return np.linalg.solve(graph_operator_oracle(B, Phi), rhs.ravel()).reshape(rhs.shape)
+
+
+def finite_series_oracle(step, term, coeffs):
+    """Reference for ``embedding._finite_series``: every coefficient
+    multiplies its term and each sum makes a new array."""
+    total = coeffs[0] * term
+    for k in range(1, len(coeffs)):
+        term = step(term, k)
+        if not term.any():
+            break
+        total = total + coeffs[k] * term
+    return total
+
+
+def time1_oracle(V, table, degree, depth):
+    """Reference for ``embedding._time1``: the same series, with a new array
+    for every product, scaling and sum."""
+    op = _derivation(V, table, degree)
+    X = np.zeros((op.shape[0], len(V)))
+    X[table.var, np.arange(len(V))] = 1.0
+    terms = degree + (depth - 1) * degree * (degree + 1) // 2
+    return finite_series_oracle(lambda X, k: (op @ X) * (1.0 / k), X, [1.0] * terms).T
+
+
+def takens_solve_oracle(L, A, rhs, depth, degree):
+    """Reference for ``embedding._takens_solve``: the same two series, with
+    a new array for every product, difference and sum, and the Bernoulli
+    coefficients of :func:`bernoulli_oracle`."""
+    start = finite_series_oracle(lambda F, k: (L @ F) * (-1.0 / k), rhs, [1.0] * depth)
+    coeffs = [float(b) for b in bernoulli_oracle((depth - 1) * (degree + 1))]
+    return finite_series_oracle(lambda F, k: F @ A.T - L @ F, start, coeffs)
+
+
+def nilpotency_index_oracle(M, tol):
+    """Reference for ``model.nilpotency_index``: one 2-norm per power, until
+    a power passes."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise StructuralError("nilpotency index needs a square matrix")
+    dim = M.shape[0]
+    if dim > 64:
+        raise StructuralError(f"dimension {dim} exceeds the cap 64")
+    if dim == 0:
+        return 1
+    scale = max(1.0, float(np.linalg.norm(M, 2)))
+    P = np.eye(dim)
+    for power in range(1, dim + 1):
+        P = P @ M
+        if np.linalg.norm(P, 2) <= tol * scale ** power:
+            return power
+    return None
+
+
+def bernoulli_oracle(top):
+    """B_k/k! for k = 0..``top`` as exact fractions, from the recurrence
+    sum_{j<=k} C(k+1, j) B_j = 0 on fractions."""
+    B = [Fraction(1)]
+    for k in range(1, top + 1):
+        B.append(-sum(math.comb(k + 1, j) * B[j] for j in range(k)) / (k + 1))
+    return [b / math.factorial(k) for k, b in enumerate(B)]
+
+
+def graded_rank_oracle(E, ends):
+    """Reference for ``jets._graded_rank``: the same count, on the rows of
+    ``E`` through its running column sums."""
+    m = E.shape[1]
+    degree = E.sum(axis=1)
+    rank = ends[degree - 1].copy()
+    r = degree[:, None] - np.cumsum(E, axis=1) + E
+    for i in range(m - 1):
+        k = m - 1 - i
+        comb = np.array([math.comb(n + k, k) for n in range(int(degree.max(initial=0)) + 1)])
+        rank += comb[r[:, i]] - comb[r[:, i] - E[:, i]]
+    return rank
+
+
+def derivation_triples_oracle(table):
+    """Reference for the derivation triples of ``jets._GradedTable``: built
+    one variable j at a time, concatenated and put in (row, column) order by
+    a stable sort, so the triples of one entry keep the order of j."""
+    E = table.exponents[1:]
+    size, m = E.shape
+    degree = E.sum(axis=1)
+    targets, columns, coeffs, weights = [], [], [], []
+    for j in range(m):
+        cols = np.flatnonzero(E[:, j])
+        counts = table.ends[table.order + 1 - degree[cols]]
+        col = np.repeat(cols, counts)
+        alpha = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        target = E[alpha] + E[col]
+        target[:, j] -= 1
+        targets.append(graded_rank_oracle(target, table.ends))
+        columns.append(col)
+        coeffs.append(j * size + alpha)
+        weights.append(E[col, j])
+    key = np.concatenate(targets) * size + np.concatenate(columns)
+    perm = np.argsort(key, kind="stable")
+    row, col = np.divmod(key[perm], size)
+    return {"row": row, "col": col, "coeff": np.concatenate(coeffs)[perm],
+            "weight": np.concatenate(weights)[perm].astype(float),
+            "triple_ends": np.searchsorted(row, table.ends)}
 
 
 def compose_oracle(outer, inner):

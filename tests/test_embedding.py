@@ -13,11 +13,11 @@ import fastslow
 from fastslow.errors import PreconditionError, StructuralError, UnsupportedCaseError
 from fastslow.jets import (Jet, JetVector, jetvector_compose, max_coeff_diff,
                            monomials_of_degree)
-from fastslow.embedding import (flow_time1_jet, jordan_chevalley_split,
+from fastslow.embedding import (_bernoulli_series, flow_time1_jet, jordan_chevalley_split,
                                 nilpotent_log, reduced_map_jets,
                                 takens_embed_unipotent, verify_reduced_embedding)
 from fastslow.dynamics import compile_jet_callable, integrate_time1
-from conftest import (make_fold_spec, make_quadratic_g_spec,
+from conftest import (bernoulli_oracle, make_fold_spec, make_quadratic_g_spec,
                       make_superstable_spec, random_nilpotent_field)
 
 # headroom constant for the flow-vs-integrator cross-check: measured worst
@@ -292,6 +292,21 @@ def test_bits_do_not_depend_on_blas_threads():
         outputs.append(proc.stdout)
     assert outputs[0].count("# ") == 12
     assert outputs[0] == outputs[1]
+
+
+class TestBernoulliSeries:
+    def test_each_coefficient_is_the_rounded_exact_one(self):
+        # B_k/k! rounded once, for every table up to top = 80
+        exact = [float(b) for b in bernoulli_oracle(80)]
+        for top in range(81):
+            assert _bernoulli_series(top) == exact[:top + 1]
+
+    def test_a_caller_cannot_corrupt_the_table(self):
+        want = _bernoulli_series(12)
+        got = _bernoulli_series(12)
+        got[3] = 99.0
+        got.append(1.0)
+        assert _bernoulli_series(12) == want
 
 
 class TestReducedEmbedding:

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from fastslow.errors import ConstantTermError, StructuralError
-from fastslow.jets import (Jet, JetVector, jet_compose, jet_matrix_inverse,
+from fastslow.jets import (Jet, JetVector, _GradedTable, jet_compose, jet_matrix_inverse,
                            jet_mul, jet_partial, jet_reciprocal, jet_shift,
                            jetvector_compose, max_coeff_diff, monomials_of_degree,
                            count_monomials, MultiIndex)
+from conftest import derivation_triples_oracle
 
 
 def J(m, r, terms):
@@ -291,6 +292,19 @@ def _jet_keys(obj):
         return [key for jet in obj for key in jet.coeffs]
     return ([key for row in obj.N for jet in row for key in jet.coeffs]
             + _jet_keys(obj.f) + _jet_keys(obj.G))
+
+
+def test_derivation_triples_equal_the_per_variable_build():
+    # every shape up to 3000 triples, each built afresh
+    for m in range(1, 6):
+        for order in range(1, 8):
+            table = _GradedTable(m, order)
+            want = derivation_triples_oracle(table)
+            if len(want["row"]) > 3000:
+                break
+            for name, arr in want.items():
+                got = getattr(table, name)
+                assert got.dtype == arr.dtype and np.array_equal(got, arr), (m, order, name)
 
 
 class TestCopyAndPickle:

@@ -1,17 +1,47 @@
 """Fast-slow model tests: multipliers, classification, reduced dynamics,
 manifold solves, nilpotency bookkeeping."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from fastslow.errors import (AssumptionViolationError, DomainError,
-                             PreconditionError)
+                             PreconditionError, StructuralError)
 from fastslow.jets import Jet, JetVector
 from fastslow.model import (FastSlowMapSpec, classify_point,
                             critical_manifold_solve, extended_map_jets,
                             nilpotency_index, nontrivial_multipliers,
                             reduced_data, reduced_map_step, standard_form_2d)
-from conftest import make_fold_spec, make_superstable_spec
+from conftest import make_fold_spec, make_superstable_spec, nilpotency_index_oracle
+
+
+def _outcome(index, M, tol=1e-9):
+    """The value ``index`` returns for M, or the type of what it raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            return index(M, tol)
+        except Exception as exc:  # the type is what is compared
+            return type(exc)
+
+
+def _non_finite_matrices():
+    rng = np.random.default_rng(7)
+    out = []
+    for dim in (1, 2, 3, 5):
+        for bad in (np.nan, np.inf, -np.inf):
+            for dense in (False, True):
+                M = (rng.standard_normal((dim, dim)) if dense
+                     else np.triu(np.ones((dim, dim)), 1))
+                M[rng.integers(dim), rng.integers(dim)] = bad
+                out.append(M)
+        out.append(np.full((dim, dim), np.inf))
+    # finite entries whose powers or scale**power overflow
+    out.append(np.array([[1e200, 0.0], [0.0, 0.0]]))
+    out.append(np.array([[1e200, 1e200], [-1e200, -1e200]]))
+    out.append(np.array([[0.0, 1e300, 0.0], [0.0, 0.0, 1e300], [0.0, 0.0, 0.0]]))
+    return out
 
 
 class TestSpecValidation:
@@ -218,6 +248,21 @@ class TestNilpotency:
 
     def test_scalar_zero(self):
         assert nilpotency_index(np.zeros((1, 1)), 1e-9) == 1
+
+    @pytest.mark.parametrize("M", _non_finite_matrices())
+    def test_non_finite_and_overflowing_input_as_the_oracle(self, M):
+        # the same return value, or an exception of the same type
+        assert _outcome(nilpotency_index, M) == _outcome(nilpotency_index_oracle, M)
+
+    def test_index_two_at_the_dimension_cap(self):
+        rng = np.random.default_rng(64)
+        Q, _ = np.linalg.qr(rng.standard_normal((64, 64)))
+        N = np.zeros((64, 64))
+        N[0, 1] = N[2, 3] = 1.0
+        M = Q @ N @ Q.T
+        assert nilpotency_index(M, 1e-10) == nilpotency_index_oracle(M, 1e-10) == 2
+        with pytest.raises(StructuralError, match="exceeds the cap 64"):
+            nilpotency_index(np.zeros((65, 65)), 1e-10)
 
     def test_index_shift_fuzz(self):
         # full-rank factor N and Df with Df N nilpotent of index l implies

@@ -2,7 +2,9 @@
 law and its agreement with the jet-product Lie series, flow and embedding
 under a linear change of coordinates, the per-degree Takens operator as
 the first variation of the time-1 map, the finite series of both
-per-degree solvers against their dense operators, the ring laws of
+per-degree solvers against their dense operators, the nilpotency index
+against its per-power oracle, the bits of the round trip and of the
+center-manifold solve against the series oracles, the ring laws of
 ``jet_mul``, the Leibniz rule, the graded-basis derivation operator and the
 dense operator and its series against the CSR oracle, shift
 round trips, evaluator agreement, composition against the sparse oracle and
@@ -27,7 +29,8 @@ from fastslow.cli import execute_command
 from fastslow.dynamics import (Box, _seed_on_manifold, branch_selection_experiment,
                                compile_jet_callable, fit_powerlaw,
                                fold_exit_experiment, integrate_time1)
-from fastslow.embedding import (_takens_solve, _time1, flow_time1_jet,
+from fastslow import embedding, singularities
+from fastslow.embedding import (_takens_solve, _time1, flow_time1_jet, nilpotent_log,
                                 takens_embed_unipotent)
 from fastslow.errors import StructuralError
 from fastslow.jets import (Jet, JetVector, MultiIndex, _composition_matrix, _derivation,
@@ -35,7 +38,7 @@ from fastslow.jets import (Jet, JetVector, MultiIndex, _composition_matrix, _der
                            jet_linear_map, jet_mul, jet_partial, jet_shift,
                            jetvector_compose, max_coeff_diff, monomials_of_degree)
 from fastslow.model import (FastSlowMapSpec, critical_manifold_solve,
-                            extended_map_jets, reduced_data)
+                            extended_map_jets, nilpotency_index, reduced_data)
 from fastslow.singularities import (_graph_solve, _newton_rectify,
                                     build_contact_frame,
                                     center_manifold_restricted_map,
@@ -45,12 +48,14 @@ from fastslow.specfiles import emit_mapspec, parse_mapspec
 from fastslow.tols import DEFAULT_TOLS
 from conftest import nilpotent_powers as _nilpotent_powers
 from conftest import (STRUCTURAL_ORACLES, compose_oracle, csr_derivation_oracle,
-                      csr_time1_oracle, graph_operator_oracle, jet_linear_map_oracle,
-                      jet_mul_oracle, jet_partial_oracle, jet_shift_oracle,
-                      lie_series_oracle, make_contact3d_spec, make_fold_spec,
-                      make_pitchfork_spec, make_transcritical_spec, orbit_oracle,
+                      csr_time1_oracle, finite_series_oracle, graph_operator_oracle,
+                      jet_linear_map_oracle, jet_mul_oracle, jet_partial_oracle,
+                      jet_shift_oracle, lie_series_oracle, make_contact3d_spec,
+                      make_contact4d_k1_spec, make_contact4d_k2_spec, make_fold_spec,
+                      make_pitchfork_spec, make_transcritical_spec,
+                      nilpotency_index_oracle, orbit_oracle,
                       random_contact_spec, random_nilpotent_field,
-                      takens_operator_oracle)
+                      takens_operator_oracle, takens_solve_oracle, time1_oracle)
 
 COEFF = st.floats(-0.8, 0.8, allow_nan=False, allow_subnormal=False)
 
@@ -256,6 +261,121 @@ def test_graph_series_inverts_the_dense_operator(case):
     got = _graph_solve(np.linalg.inv(B - np.eye(len(B))), Phi, rhs, depth, d)
     back = graph_operator_oracle(B, Phi) @ got.ravel()
     assert np.max(np.abs(back - rhs.ravel())) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
+
+
+@st.composite
+def nilpotency_cases(draw):
+    """A matrix of dimension 1..16 and a tolerance.  Nilpotent ones are
+    Jordan blocks of drawn sizes, conjugated by an orthogonal Q or left with
+    powers that reach exactly zero, scaled by 1e-3..1e3, plus a perturbation
+    of norm tol x 10^[-2, 2] that straddles the threshold; the others are
+    dense, or nilpotent plus a multiple of the identity.  Zero entries may
+    be negative zeros."""
+    dim = draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    tol = draw(st.sampled_from([1e-12, DEFAULT_TOLS.nilp, 1e-6]))
+    kind = draw(st.sampled_from(["nilpotent", "dense", "shifted"]))
+    if kind == "dense":
+        M = rng.standard_normal((dim, dim))
+    else:
+        J = np.zeros((dim, dim))
+        start = 0
+        while start < dim:
+            size = draw(st.integers(1, dim - start))
+            J[range(start, start + size - 1), range(start + 1, start + size)] = 1.0
+            start += size
+        M = J
+        if draw(st.booleans()):
+            Q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+            M = Q @ J @ Q.T
+        if kind == "shifted":
+            M += draw(st.floats(1e-3, 1.0)) * np.eye(dim)
+    M *= 10.0 ** draw(st.floats(-3.0, 3.0))
+    if draw(st.booleans()):
+        E = rng.standard_normal((dim, dim))
+        M += tol * 10.0 ** draw(st.floats(-2.0, 2.0)) * E / np.linalg.norm(E, 2)
+    if draw(st.booleans()):
+        M = np.where(M == 0.0, -0.0, M)
+    return M, tol
+
+
+@settings(max_examples=300)
+@given(nilpotency_cases())
+def test_nilpotency_index_matches_per_power_oracle(case):
+    M, tol = case
+    assert nilpotency_index(M, tol) == nilpotency_index_oracle(M, tol)
+
+
+@st.composite
+def seeded_nilpotent_fields(draw):
+    """Fields in 1..4 variables to order 2..7: a nilpotent linear part of
+    one Jordan chain of drawn length, conjugated by I + U(-0.3, 0.3) or not,
+    and seeded coefficients on about half of the monomials of degree >= 2."""
+    m = draw(st.integers(1, 4))
+    order = draw(st.integers(2, 7))
+    depth = draw(st.integers(1, m))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    L = np.zeros((m, m))
+    L[range(depth - 1), range(1, depth)] = rng.choice([-1.0, 1.0], depth - 1)
+    if draw(st.booleans()):
+        P = np.eye(m) + rng.uniform(-0.3, 0.3, (m, m))
+        L = P @ L @ np.linalg.inv(P)
+    comps = []
+    for i in range(m):
+        terms = {tuple(1 if j == s else 0 for j in range(m)): L[i, s] for s in range(m)}
+        for d in range(2, order + 1):
+            for alpha in monomials_of_degree(m, d):
+                if rng.random() < 0.5:
+                    terms[alpha.exponents] = float(rng.uniform(-0.8, 0.8))
+        comps.append(Jet.from_terms(m, order, terms))
+    return JetVector(comps, m, order)
+
+
+def _same_bits(got, want):
+    """Equal coefficient arrays for jet vectors of one shape, or equal arrays."""
+    if isinstance(want, JetVector):
+        table = _graded_table(want.num_vars, want.order)
+        return np.array_equal(_graded_coeffs(got, table), _graded_coeffs(want, table))
+    return np.array_equal(got, want)
+
+
+def _with_series_oracles(compute):
+    """``compute()`` with ``finite_series_oracle`` as the series helper of
+    both solvers, and the time-1 series and Takens solve replaced by their
+    oracles, which make a new array for every step."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(embedding, "_finite_series", finite_series_oracle)
+        mp.setattr(singularities, "_finite_series", finite_series_oracle)
+        mp.setattr(embedding, "_time1", time1_oracle)
+        mp.setattr(embedding, "_takens_solve", takens_solve_oracle)
+        return compute()
+
+
+@settings(max_examples=60)
+@given(seeded_nilpotent_fields())
+def test_round_trip_has_the_bits_of_the_series_oracles(V):
+    def round_trip():
+        H = flow_time1_jet(V, V.order)
+        res = takens_embed_unipotent(H, V.order)
+        return H, res.V, res.residual, nilpotent_log(H.linear_matrix())
+
+    for got, want in zip(round_trip(), _with_series_oracles(round_trip)):
+        assert _same_bits(got, want)
+
+
+@pytest.mark.parametrize("make_spec", [make_contact3d_spec, make_contact4d_k1_spec,
+                                       make_contact4d_k2_spec])
+def test_center_manifold_has_the_bits_of_the_series_oracles(make_spec):
+    nf = cm_normal_form_transform(make_spec())
+
+    def solve():
+        return center_manifold_restricted_map(nf, order=4)
+
+    got, want = solve(), _with_series_oracles(solve)
+    for name in ("W", "restricted_N", "restricted_G", "restricted_map", "W0"):
+        assert _same_bits(getattr(got, name), getattr(want, name)), name
+    assert _same_bits(JetVector([got.restricted_f]), JetVector([want.restricted_f]))
+    assert (got.invariance_residual, got.mu1) == (want.invariance_residual, want.mu1)
 
 
 @st.composite
