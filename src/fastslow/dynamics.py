@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import (ConvergenceError, ExperimentError, PreconditionError,
                      StructuralError)
-from .jets import JetVector, _evaluate_terms, _term_table
+from .jets import JetVector, _evaluate_terms, _jet_terms
 from .model import (FastSlowMapSpec, critical_manifold_solve, extended_map_jets,
                     reduced_data)
 from .singularities import classify_planar_singularity, threshold_lambda
@@ -105,7 +105,7 @@ class ScalingFit:
 
 def compile_jet_callable(jets: JetVector):
     """Flatten a jet vector into a fast point evaluator."""
-    return functools.partial(_evaluate_terms, _term_table(jets), jets.num_vars)
+    return functools.partial(_evaluate_terms, [_jet_terms(c) for c in jets], jets.num_vars)
 
 
 class _MapRunner:
@@ -424,13 +424,12 @@ def _face_roots(spec: FastSlowMapSpec, exit_point: np.ndarray, axis_fixed: int,
     base = spec.base_point
     fixed_val = exit_point[axis_fixed] - base[axis_fixed]
     free = 1 - axis_fixed
-    # univariate coefficients of f with the fixed displacement substituted
-    degree = f.order
-    poly = np.zeros(degree + 1)
-    for idx, c in f.coeffs.items():
-        e_fix = idx.exponents[axis_fixed]
-        e_free = idx.exponents[free]
-        poly[e_free] += c * fixed_val ** e_fix
+    # univariate coefficients of f on the face, each summed in graded-lex order
+    nonzero = f._graded.nonzero()[0]
+    E = f._table().exponents[nonzero]
+    powers = np.array([fixed_val ** e for e in range(f.order + 1)])
+    poly = np.bincount(E[:, free], weights=f._graded[nonzero] * powers[E[:, axis_fixed]],
+                       minlength=f.order + 1)
     coeffs_desc = poly[::-1]
     nz = np.flatnonzero(np.abs(coeffs_desc) > 0)
     if nz.size == 0:

@@ -177,6 +177,13 @@ def nilpotent_log(A: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     Coincides with A - I when (A - I)^2 = 0; for deeper nilpotency the
     higher terms are required so that the exponential reproduces A exactly.
     """
+    return _nilpotent_log(A, tols)[0]
+
+
+def _nilpotent_log(A: np.ndarray, tols: Tolerances) -> tuple[np.ndarray, int]:
+    """:func:`nilpotent_log` of ``A`` and the nilpotency index of A - I,
+    which in exact arithmetic is the index of the logarithm too:
+    log(I + N) = N g(N) with g(0) = I invertible and commuting with N."""
     A = np.asarray(A, dtype=float)
     N = A - np.eye(len(A))
     idx = nilpotency_index(N, tols.nilp)
@@ -185,7 +192,7 @@ def nilpotent_log(A: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
             "linear part is not unipotent; see jordan_chevalley_split for the "
             "semisimple/nilpotent diagnosis")
     return _finite_series(lambda P, k: P @ N, N,
-                          [(-1.0) ** p / (p + 1) for p in range(idx)])
+                          [(-1.0) ** p / (p + 1) for p in range(idx)]), idx
 
 
 def _nilpotent_depth(L: np.ndarray, tol: float) -> int:
@@ -238,7 +245,7 @@ def _graded_finite(jets: JetVector, table: _GradedTable, what: str) -> np.ndarra
         i, a = np.argwhere(~finite)[0]
         raise PreconditionError(
             f"{what} component {i} has the non-finite coefficient {coeffs[i, a]!r} "
-            f"at monomial {table.monomials[a].exponents}")
+            f"at monomial {table.rows[1 + a]}")
     return coeffs
 
 
@@ -342,8 +349,8 @@ def takens_embed_unipotent(H: JetVector, order: int,
         raise PreconditionError("map must fix the origin; re-center first")
     table = _graded_table(m, order)
     target = _graded_finite(H, table, "map")
-    L = nilpotent_log(target[:, table.var], tols)  # refuses non-unipotent linear parts
-    depth = _nilpotent_depth(L, tols.nilp)
+    # refuses non-unipotent linear parts; L^depth = 0 with the depth of A - I
+    L, depth = _nilpotent_log(target[:, table.var], tols)
 
     V = np.zeros_like(target)
     V[:, table.var] = L
@@ -442,35 +449,23 @@ def verify_reduced_embedding(spec: FastSlowMapSpec, z0, order: int,
     A = H.linear_matrix()
     j1_diff = float(np.max(np.abs(V.linear_matrix() - (A - np.eye(n + 1)))))
 
-    eps01: dict[int, float] = {}
-    for l in range(2, order + 1):
-        worst = 0.0
-        for i in range(n + 1):
-            hpart = H[i].degree_part(l)
-            vpart = V[i].degree_part(l)
-            keys = set(hpart.coeffs) | set(vpart.coeffs)
-            for idx in keys:
-                if idx.exponents[-1] in (0, 1):
-                    worst = max(worst, abs(hpart.coeffs.get(idx, 0.0)
-                                           - vpart.coeffs.get(idx, 0.0)))
-        eps01[l] = worst
+    # gaps at the monomials of eps-exponent 0 or 1, worst per degree
+    table = _graded_table(n + 1, H.order)
+    Hc, Vc = _graded_coeffs(H, table), _graded_coeffs(V, table)
+    gap = np.abs(Hc - Vc)
+    gap[:, table.exponents[1:, -1] > 1] = 0.0
+    eps01 = {l: float(gap[:, table.ends[l - 1]:table.ends[l]].max())
+             for l in range(2, order + 1)}
 
-    # eps^2 correction at degree 2: closed form vs the generic solve
-    eps_idx = (0,) * n + (1,)
-    a = np.array([H[i].coefficient(eps_idx) for i in range(n)])
-    eps2_idx = (0,) * n + (2,)
-    closed = np.zeros(n)
-    solver = np.zeros(n)
-    for i in range(n):
-        b_eps2 = H[i].coefficient(eps2_idx)
-        corr = 0.0
-        for s in range(n):
-            exps = [0] * (n + 1)
-            exps[s] = 1
-            exps[n] = 1
-            corr += H[i].coefficient(tuple(exps)) * a[s] / 2.0
-        closed[i] = b_eps2 - corr
-        solver[i] = V[i].coefficient(eps2_idx)
+    # eps^2 correction at degree 2: closed form vs the generic solve, with
+    # the terms of the correction summed in the order of s
+    eps2 = table.position[(0,) * n + (2,)] - 1
+    corr = np.zeros(n)
+    for s in range(n):
+        x_eps = table.position[tuple(int(j in (s, n)) for j in range(n + 1))] - 1
+        corr += Hc[:n, x_eps] * A[s, n] / 2.0
+    closed = Hc[:n, eps2] - corr
+    solver = Vc[:n, eps2]
     eps2_diff = float(np.max(np.abs(solver - closed), initial=0.0))
 
     return ReducedEmbeddingReport(order=order, j1_diff=j1_diff, eps01_diffs=eps01,

@@ -4,10 +4,12 @@ A :class:`Jet` is a polynomial in ``num_vars`` variables, truncated at total
 degree ``order``.  Its coefficients are one float64 array on the graded
 basis of that shape (:class:`_GradedTable`): the constant first, then the
 monomials of degree 1..order in graded-lex order, cut after the last degree
-block that holds a nonzero coefficient.  ``Jet.coeffs`` is a read-only
-mapping of the nonzero terms, keyed by the shared :class:`MultiIndex`
-instances.  Jets are immutable after construction and all operations are
-pure functions, so they can be shared freely across threads.
+block that holds a nonzero coefficient.  A monomial is a row of the
+table's exponent array; :class:`MultiIndex` is only the key type of the
+public boundary: ``Jet(mapping)``, ``coefficient``, ``terms``, the
+read-only ``coeffs`` mapping and :func:`monomials_of_degree`.  Jets are
+immutable and all operations are pure functions, so they can be shared
+freely across threads.
 
 Truncation bookkeeping: differentiating a jet lowers the degree up to which
 its coefficients agree with those of the underlying function.  Every jet
@@ -63,9 +65,10 @@ class MultiIndex:
     Indices are hash-consed: ``MultiIndex(e)`` returns the one instance of
     its exponent tuple, so ``MultiIndex(e) is MultiIndex(list(e))``, and
     every jet holding a monomial shares that instance.  The exponents are
-    validated when the instance is first made; a negative exponent is
-    refused on every call, since no such instance is ever stored.  Pickle
-    and ``copy`` go through the constructor and return the shared instance.
+    validated when the instance is first made; a negative or non-integral
+    exponent is refused on every call, since no such instance is ever
+    stored.  Pickle and ``copy`` go through the constructor and return the
+    shared instance.
     """
 
     __slots__ = ("exponents", "degree", "_hash")
@@ -75,10 +78,12 @@ class MultiIndex:
         self = _INTERNED.get(key)
         if self is not None:
             return self
-        exps = tuple(int(e) for e in key)
-        self = _INTERNED.get(exps)
-        if self is not None:
-            return self
+        try:
+            exps = tuple(map(int, key))
+        except (TypeError, ValueError, OverflowError):
+            exps = ()
+        if exps != key:
+            raise StructuralError(f"non-integral exponent in {key}")
         for e in exps:
             if e < 0:
                 raise StructuralError(f"negative exponent in {exps}")
@@ -132,8 +137,8 @@ _EMPTY.flags.writeable = False
 
 class Jet:
     """Truncated polynomial, stored as its coefficient array on the graded
-    basis of (``num_vars``, ``order``): position 0 holds the constant and
-    position 1 + i the monomial ``_GradedTable.monomials[i]``.  The array
+    basis of (``num_vars``, ``order``): position p holds the monomial with
+    exponents ``_GradedTable.exponents[p]`` (p = 0 is the constant).  The array
     ends with the last degree block holding a nonzero coefficient (the zero
     jet's is empty) and holds no negative zero.  Treat instances as
     immutable."""
@@ -144,7 +149,7 @@ class Jet:
                  coeffs: Mapping | None = None,
                  reliable_order: int | None = None):
         table = _graded_table(num_vars, order)
-        graded = np.zeros(len(table.basis))
+        graded = np.zeros(len(table.exponents))
         if coeffs:
             for key, value in coeffs.items():
                 idx = _as_index(key, num_vars)
@@ -153,7 +158,7 @@ class Jet:
                         f"index {idx} exceeds truncation order {order}")
                 c = float(value)
                 if c != 0.0:
-                    graded[table.position[idx]] = c
+                    graded[table.position[idx.exponents]] = c
         self._init(num_vars, order, graded, reliable_order, table)
 
     def _init(self, num_vars: int, order: int, graded: np.ndarray,
@@ -225,7 +230,7 @@ class Jet:
             return self._coeffs
 
     def coefficient(self, key) -> float:
-        return self._at(self._table().position.get(_as_index(key, self.num_vars)))
+        return self._at(self._table().position.get(_as_index(key, self.num_vars).exponents))
 
     @property
     def constant_term(self) -> float:
@@ -244,9 +249,7 @@ class Jet:
         return int(self._table().ends.searchsorted(len(self._graded) - 1))
 
     def terms(self) -> Iterator[tuple[MultiIndex, float]]:
-        basis = self._table().basis
-        nonzero = self._graded.nonzero()[0]
-        return zip([basis[p] for p in nonzero.tolist()], self._graded[nonzero].tolist())
+        return ((MultiIndex(e), c) for c, e in _jet_terms(self))
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self._graded), initial=0.0))
@@ -334,7 +337,7 @@ class Jet:
     # -- calculus and structure ---------------------------------------------
 
     def evaluate(self, point: Sequence[float]) -> float:
-        return _term_sum(_term_table([self])[0], _point_coords(point, self.num_vars))
+        return _term_sum(_jet_terms(self), _point_coords(point, self.num_vars))
 
     def degree_part(self, degree: int) -> "Jet":
         if not 0 <= degree <= self.order:
@@ -352,7 +355,7 @@ class Jet:
 
     def truncated(self, order: int) -> "Jet":
         table = _graded_table(self.num_vars, order)
-        return Jet._from_graded(self.num_vars, order, self._graded[:len(table.basis)],
+        return Jet._from_graded(self.num_vars, order, self._graded[:len(table.exponents)],
                                 min(self.reliable_order, order))
 
     def extend_vars(self, num_vars: int, positions: Sequence[int] | None = None) -> "Jet":
@@ -364,7 +367,7 @@ class Jet:
         if len(positions) != self.num_vars or len(set(positions)) != self.num_vars:
             raise StructuralError("positions must map variables injectively")
         src, dst = _relabel_map(self.num_vars, num_vars, self.order, positions)
-        size = len(_graded_table(num_vars, self.order).basis)
+        size = len(_graded_table(num_vars, self.order).exponents)
         return Jet._from_graded(num_vars, self.order, _remap(self._graded, src, dst, size),
                                 self.reliable_order)
 
@@ -391,7 +394,7 @@ class Jet:
         short = np.flatnonzero((table.exponents[:len(self._graded), var] < power)
                                & (self._graded != 0.0))
         if len(short):
-            raise StructuralError(f"term {table.basis[short[0]].exponents} not "
+            raise StructuralError(f"term {table.rows[short[0]]} not "
                                   f"divisible by variable {var}^{power}")
         src, dst, _ = _shift_map(self.num_vars, self.order, var, -power)
         return self._like(_remap(self._graded, src, dst, len(self._graded)))
@@ -399,7 +402,7 @@ class Jet:
     def mul_var(self, var: int, power: int = 1) -> "Jet":
         """Multiply by ``x_var**power``, discarding terms past the order."""
         src, dst, _ = _shift_map(self.num_vars, self.order, var, power)
-        return self._like(_remap(self._graded, src, dst, len(self._table().basis)))
+        return self._like(_remap(self._graded, src, dst, len(self._table().exponents)))
 
 
 class JetVector:
@@ -467,7 +470,7 @@ class JetVector:
     __rmul__ = __mul__
 
     def evaluate(self, point: Sequence[float]) -> np.ndarray:
-        return _evaluate_terms(_term_table(self), self.num_vars, point)
+        return _evaluate_terms([_jet_terms(c) for c in self], self.num_vars, point)
 
     def linear_matrix(self) -> np.ndarray:
         """Coefficient matrix of the linear part, shape (len, num_vars)."""
@@ -496,10 +499,11 @@ class JetVector:
 # -- operations -------------------------------------------------------------
 
 
-def _term_table(jets: Iterable[Jet]) -> list[list[tuple[float, tuple[int, ...]]]]:
-    """(coefficient, exponents) pairs of the nonzero terms of each jet, in
-    graded-lex order."""
-    return [[(c, idx.exponents) for idx, c in jet.terms()] for jet in jets]
+def _jet_terms(jet: Jet) -> list[tuple[float, tuple[int, ...]]]:
+    """(coefficient, exponent tuple) of each nonzero term, in graded-lex order."""
+    nonzero = jet._graded.nonzero()[0]
+    rows = jet._table().rows
+    return [(c, rows[p]) for c, p in zip(jet._graded[nonzero].tolist(), nonzero.tolist())]
 
 
 def _point_coords(point: Sequence[float], num_vars: int) -> list[float]:
@@ -524,7 +528,7 @@ def _term_sum(terms: Iterable[tuple[float, tuple[int, ...]]], p: list[float]) ->
 
 def _evaluate_terms(table: list[list[tuple[float, tuple[int, ...]]]], num_vars: int,
                     point: Sequence[float]) -> np.ndarray:
-    """Value at ``point`` of every jet of a :func:`_term_table`."""
+    """Value at ``point`` of every jet of a table of :func:`_jet_terms`."""
     p = _point_coords(point, num_vars)
     out = np.empty(len(table))
     for i, terms in enumerate(table):
@@ -715,20 +719,12 @@ def max_coeff_diff(a: Jet | JetVector, b: Jet | JetVector) -> float:
 
 
 def monomials_of_degree(num_vars: int, degree: int) -> list[MultiIndex]:
-    """All exponent tuples of the given total degree, graded-lex sorted."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], remaining: int, slots: int) -> None:
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + (e,), remaining - e, slots - 1)
-
-    rec((), degree, num_vars)
-    idxs = [MultiIndex(t) for t in out]
-    idxs.sort()
-    return idxs
+    """All exponent tuples of the given total degree, graded-lex sorted, as
+    the shared :class:`MultiIndex` instances."""
+    if num_vars < 1:
+        raise StructuralError(f"num_vars must be >= 1, got {num_vars}")
+    E = _graded_exponents(num_vars, max(degree, 0))
+    return [MultiIndex(tuple(e)) for e in E[E.sum(axis=1) == degree].tolist()]
 
 
 def count_monomials(num_vars: int, degree: int) -> int:
@@ -747,16 +743,14 @@ class _GradedTable:
     """The graded basis of jets in ``num_vars`` variables to ``order``, and
     the index tables of the kernels that run on it.
 
-    ``monomials`` lists the constant-free monomials of degree 1..order in
-    graded-lex order; ``basis`` is the constant followed by them, the layout
-    of a jet's coefficient array, with ``position`` the inverse map and
-    ``exponents`` the (len(basis), m) exponent array.  ``ends[d]`` counts
-    the monomials of degree 1..d, so the degree-d ones sit at
-    ``ends[d-1]:ends[d]`` of ``monomials`` (at ``ends[d-1]+1:ends[d]+1`` of
-    a jet's array), and ``var[i]`` is the position of x_i in ``monomials``
-    (graded lex lists x_{m-1} first).
-
-    The derivation triples and the product table are built on first use.
+    A monomial is a row of ``exponents``: the constant, then the D
+    monomials of degree 1..order in graded-lex order, the layout of a jet's
+    coefficient array.  ``ends[d]`` counts the monomials of degree 1..d, so
+    the degree-d ones are rows ``ends[d-1]+1:ends[d]+1``.  Arrays without
+    the constant (fields, inner vectors) have row a + 1 in column a, and
+    ``var[i]`` is that column of x_i (graded lex lists x_{m-1} first).
+    ``rows`` (the rows as tuples), ``position`` (their inverse), the
+    derivation triples and the product table are built on first use.
     A field V is an (m, D) array with ``V[j, a]`` the coefficient of
     monomial a in V_j.  Triple t adds ``V.flat[coeff[t]] * weight[t]`` to
     the operator entry in row ``row[t]`` and column ``col[t]``: column b =
@@ -783,21 +777,18 @@ class _GradedTable:
             raise StructuralError(f"jets in {m} variables to order {order} are too "
                                   f"large for the dense graded basis")
         self.order = order
-        self.monomials = [a for d in range(1, order + 1)
-                          for a in monomials_of_degree(m, d)]
-        self.basis = [MultiIndex((0,) * m)] + self.monomials
-        self.position = {a: i for i, a in enumerate(self.basis)}
-        self.exponents = np.array([a.exponents for a in self.basis], dtype=np.int64)
-        self.ends = np.array([math.comb(m + d, d) - 1 for d in range(order + 1)])
-        self.var = _graded_rank(np.eye(m, dtype=np.int64), self.ends)
-        for arr in (self.exponents, self.ends, self.var):
-            arr.flags.writeable = False
+        ends = np.array([math.comb(m + d, d) - 1 for d in range(order + 1)])
+        self._freeze(exponents=_graded_exponents(m, order), ends=ends,
+                     var=_graded_rank(np.eye(m, dtype=np.int64), ends))
 
     def __getattr__(self, name: str):
         if name in _GradedTable._TRIPLES:
             self._build_triples()
         elif name in _GradedTable._PAIRS:
             self._build_pairs()
+        elif name in ("rows", "position"):
+            self.rows = list(map(tuple, self.exponents.tolist()))
+            self.position = {e: p for p, e in enumerate(self.rows)}
         else:
             raise AttributeError(name)
         return self.__dict__[name]
@@ -844,6 +835,22 @@ class _GradedTable:
             setattr(self, name, arr)
 
 
+def _graded_exponents(num_vars: int, order: int) -> np.ndarray:
+    """Exponents of the monomials of degree 0..``order`` in ``num_vars``
+    variables, in graded-lex order.  Variables are put in front one at a
+    time: in degree d, rows (e, t) run over e = 0..d, then over the rows t
+    of degree d - e in the later variables."""
+    E = np.zeros((1, 0), dtype=np.int64)
+    sizes = np.eye(1, order + 1, dtype=np.int64)[0]  # rows of E of each degree
+    degree, first = _prefix_pairs(np.arange(order + 1), np.arange(1, order + 2))
+    for _ in range(num_vars):
+        counts = sizes[degree - first]
+        start, offset = _prefix_pairs((np.cumsum(sizes) - sizes)[degree - first], counts)
+        E = np.column_stack((np.repeat(first, counts), E[start + offset]))
+        sizes = np.cumsum(sizes)
+    return E
+
+
 def _prefix_pairs(rows: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pairs (row, b) for b in 0..counts[i]-1 of each ``rows[i]``: with the
     basis in graded order, each row meets a prefix of the basis."""
@@ -852,7 +859,9 @@ def _prefix_pairs(rows: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def _graded_rank(E: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Basis positions of the rows of ``E``, exponents of degree 1..order.
+    """Positions of the rows of ``E``, exponents of degree 0..order, among
+    the monomials of degree 1..order: the constant ranks -1, so a row's
+    position in a jet's coefficient array is 1 + its rank.
 
     Within degree d, the tuples that share the first i exponents of e and
     have a smaller i-th one number C(r + k, k) - C(r - e_i + k, k), where
@@ -861,7 +870,7 @@ def _graded_rank(E: np.ndarray, ends: np.ndarray) -> np.ndarray:
     m = E.shape[1]
     columns = E.T
     degree = columns.sum(axis=0)
-    rank = ends[degree - 1]
+    rank = np.concatenate(([-1], ends))[degree]
     r = degree
     for i in range(m - 1):
         k = m - 1 - i
@@ -869,15 +878,6 @@ def _graded_rank(E: np.ndarray, ends: np.ndarray) -> np.ndarray:
         rank = rank + comb[r] - comb[r - columns[i]]
         r = r - columns[i]
     return rank
-
-
-def _jet_positions(E: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Positions in a jet's coefficient array of the rows of ``E``,
-    exponents of degree 0..order."""
-    pos = np.zeros(len(E), dtype=np.int64)
-    nonconstant = E.sum(axis=1) > 0
-    pos[nonconstant] = 1 + _graded_rank(E[nonconstant], ends)
-    return pos
 
 
 @cache
@@ -913,7 +913,7 @@ def _shift_map(num_vars: int, order: int, var: int,
     falling = np.ones(len(src))
     for i in range(-power):
         falling *= E[src, var] - i
-    return src, _jet_positions(image[src], table.ends), falling
+    return src, 1 + _graded_rank(image[src], table.ends), falling
 
 
 @cache
@@ -926,7 +926,7 @@ def _relabel_map(num_vars: int, wide: int, order: int,
     src = np.flatnonzero(E.sum(axis=1) == E[:, kept].sum(axis=1))
     image = np.zeros((len(src), wide), dtype=np.int64)
     image[:, [positions[i] for i in kept]] = E[np.ix_(src, kept)]
-    return src, _jet_positions(image, _graded_table(wide, order).ends)
+    return src, 1 + _graded_rank(image, _graded_table(wide, order).ends)
 
 
 @cache
@@ -941,7 +941,7 @@ def _binomial_map(num_vars: int, order: int,
     image = E[src].copy()
     image[:, var] = j
     binom = np.array([math.comb(int(a), int(b)) for a, b in zip(e[src], j)], dtype=float)
-    return src, _jet_positions(image, table.ends), binom, (e[src] - j).astype(float)
+    return src, 1 + _graded_rank(image, table.ends), binom, (e[src] - j).astype(float)
 
 
 # -- packing for the graded kernels ------------------------------------------
@@ -952,7 +952,7 @@ def _graded_coeffs(jets: Iterable[Jet], table: _GradedTable) -> np.ndarray:
     ``table``: each jet's array without the constant, cut or padded to the
     table's order."""
     jets = list(jets)
-    out = np.zeros((len(jets), len(table.monomials)))
+    out = np.zeros((len(jets), table.ends[-1]))
     for row, jet in zip(out, jets):
         graded = jet._graded[1:len(row) + 1]
         row[:len(graded)] = graded
@@ -969,7 +969,7 @@ def _graded_jets(coeffs: np.ndarray, table: _GradedTable, num_vars: int, order: 
 def _mul_matrix(graded: np.ndarray, table: _GradedTable, degree: int) -> np.ndarray:
     """Truncated multiplication by the jet with coefficient array ``graded``
     on the basis of degree 0..``degree``: row s holds the coefficients of
-    ``table.basis[s]`` times the jet.  Each entry is one coefficient of the
+    the monomial ``table.exponents[s]`` times the jet.  Each entry is one coefficient of the
     jet; nothing sums."""
     n = table.ends[degree] + 1
     c = np.zeros(n)
@@ -997,7 +997,7 @@ def _composition_matrix(inner: np.ndarray, out_table: _GradedTable,
                         in_table: _GradedTable, degree: int) -> np.ndarray:
     """Phi on the monomials of degree 1..``degree``: row a holds the
     coefficients of inner^alpha on the basis of ``in_table``, for
-    x^alpha = ``out_table.monomials[a]`` and an inner vector given as an
+    x^alpha in row a + 1 of ``out_table.exponents`` and an inner vector given as an
     (m, D) array on that basis (it has no constant terms).
 
     Rows are built degree by degree, Phi[alpha] = Phi[alpha - e_j] M_j, with

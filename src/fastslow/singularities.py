@@ -20,10 +20,10 @@ import numpy as np
 
 from .errors import (ConvergenceError, DegenerateCaseError, PreconditionError,
                      StructuralError)
-from .jets import (Jet, JetVector, MultiIndex, _compose, _composition_matrix,
-                   _graded_coeffs, _graded_jets, _graded_table, _mul_matrix,
-                   jet_linear_map, jet_matrix_mul, jet_mul, jet_partial,
-                   jet_reciprocal, jetvector_compose, monomials_of_degree)
+from .jets import (Jet, JetVector, _compose, _composition_matrix, _graded_coeffs,
+                   _graded_jets, _graded_table, _mul_matrix, jet_linear_map,
+                   jet_matrix_mul, jet_mul, jet_partial, jet_reciprocal,
+                   jetvector_compose)
 from .model import (FastSlowMapSpec, _evaluate_matrix, extended_map_jets,
                     nontrivial_multipliers)
 from .embedding import (EmbeddingResult, _finite_series, _nilpotent_depth,
@@ -539,12 +539,10 @@ def cm_normal_form_transform(spec: FastSlowMapSpec,
                                                          v_hat), m, r)
 
     # the critical manifold is the pure-x subspace: it must stay fixed
-    pure_x = 0.0
-    for i, comp in enumerate(hat_map):
-        delta = comp - Jet.variable(m, r, i)
-        for idx, c in delta.coeffs.items():
-            if all(e == 0 for e in idx.exponents[k:]):
-                pure_x = max(pure_x, abs(c))
+    table = _graded_table(m, r)
+    delta = np.column_stack((hat_map.constant_vector(), _graded_coeffs(hat_map, table)))
+    delta[np.arange(n), 1 + table.var[:n]] -= 1.0
+    pure_x = float(np.abs(delta[:, ~table.exponents[:, k:].any(axis=1)]).max())
 
     # block structure of the layer linearization: the u row is trivial, the
     # w rows decouple from (x, u), the w block is the framed fast pairing,
@@ -669,9 +667,9 @@ def center_manifold_restricted_map(nf: ContactNormalForm,
     W = JetVector.zeros(p - 1, mred, r)
     if p > 1:  # with p = 1, W is empty
         table = _graded_table(mred, r)
-        inner = np.zeros((mred, len(table.monomials)))
+        inner = np.zeros((mred, table.ends[-1]))
         C = np.linalg.inv(btilde - np.eye(p - 1))
-        coeffs = np.zeros((p - 1, len(table.monomials)))
+        coeffs = np.zeros((p - 1, table.ends[-1]))
         for d in range(1, order + 1):
             if d <= 2:  # M is final from degree 2 on, see below
                 inner[:, table.var] = M
@@ -786,20 +784,16 @@ def embed_on_center_manifold(cm: CenterManifoldData, order: int | None = None,
     result = takens_embed_unipotent(H, order, tols)
     V = result.V
 
-    # (a) linear data at the origin
+    # (a) linear data at the origin: the u column is N(0); in the eps column
+    # the log of the unipotent linear part shifts the slow rows by
+    # -(1/2) N^x(0) G^u(0), and the critical row is exact
     N0 = cm.restricted_N.constant_vector()
     G0 = cm.restricted_G.constant_vector()
-    u_idx = tuple(1 if i == k else 0 for i in range(mred))
-    eps_idx = tuple(1 if i == eps_var else 0 for i in range(mred))
-    lin = 0.0
-    for i in range(k + 1):
-        lin = max(lin, abs(V[i].coefficient(u_idx) - N0[i]))
-    # eps column: log of the unipotent linear part shifts the slow rows by
-    # -(1/2) N^x(0) G^u(0); the critical row is exact
+    VL = V.linear_matrix()
     gu = G0[k]
-    for i in range(k):
-        lin = max(lin, abs(V[i].coefficient(eps_idx) - (G0[i] - 0.5 * N0[i] * gu)))
-    lin = max(lin, abs(V[k].coefficient(eps_idx) - gu))
+    lin = max(np.abs(VL[:k + 1, k] - N0[:k + 1]).max(),
+              np.abs(VL[:k, eps_var] - (G0[:k] - 0.5 * N0[:k] * gu)).max(initial=0.0),
+              abs(VL[k, eps_var] - gu))
 
     # (b) layer part of the field factors through the restricted fast scalar
     layer = JetVector([V[i].subs_zero(eps_var) for i in range(k + 1)], mred, r)
@@ -816,37 +810,23 @@ def embed_on_center_manifold(cm: CenterManifoldData, order: int | None = None,
         lin = max(lin, abs(N_frak[i].constant_term - N0[i]))
 
     # (c) slow partial derivatives of the critical factor component
-    partials_diff = 0.0
-    for s in range(k):
-        x_idx = tuple(1 if i == s else 0 for i in range(mred))
-        partials_diff = max(partials_diff,
-                            abs(N_frak[k].coefficient(x_idx)
-                                - cm.restricted_N[k].coefficient(x_idx)))
+    partials_diff = float(np.abs(N_frak[k].linear_coefficients()[:k]
+                                 - cm.restricted_N[k].linear_coefficients()[:k]).max(initial=0.0))
 
     # (d) degree-2 coefficients of the critical component vs closed formulas
-    vu2 = V[k].degree_part(2)
-    hu2 = H[k].degree_part(2)
-    quad = 0.0
-    for alpha in monomials_of_degree(mred, 2):
-        if alpha.exponents[eps_var] != 0:
-            continue
-        eu = alpha.exponents[k]
-        got = vu2.coeffs.get(alpha, 0.0)
-        if eu == 0:
-            expected = 0.0
-        elif eu == 1:
-            expected = hu2.coeffs.get(alpha, 0.0)
-        else:
-            # u^2 coefficient: integrating the mixed terms along the linear
-            # flow x -> x + tau N^x(0) u contributes half the slow tangency
-            # contraction, which the field coefficient must shed
-            expected = hu2.coeffs.get(alpha, 0.0)
-            for s in range(k):
-                exps = [0] * mred
-                exps[s] = 1
-                exps[k] = 1
-                expected -= 0.5 * hu2.coeffs.get(MultiIndex(exps), 0.0) * N0[s]
-        quad = max(quad, abs(got - expected))
+    table = _graded_table(mred, r)
+    quad2 = slice(table.ends[1], table.ends[2])
+    E2 = table.exponents[1:][quad2]
+    vk, hk = _graded_coeffs([V[k], H[k]], table)
+    got, expected = vk[quad2], np.where(E2[:, k] == 0, 0.0, hk[quad2])
+    # u^2 coefficient: integrating the mixed terms along the linear flow
+    # x -> x + tau N^x(0) u contributes half the slow tangency contraction,
+    # which the field coefficient must shed
+    u2 = E2[:, k] == 2
+    for s in range(k):
+        xu = table.position[tuple(int(i in (s, k)) for i in range(mred))] - 1
+        expected[u2] -= 0.5 * hk[xu] * N0[s]
+    quad = float(np.abs(got - expected)[E2[:, eps_var] == 0].max())
 
     failures = []
     if lin > tols.structure:

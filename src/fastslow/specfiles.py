@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError, StructuralError
-from .jets import Jet, JetVector
+from .jets import Jet, JetVector, _jet_terms
 from .model import FastSlowMapSpec
 from .tols import DEFAULT_TOLS, Tolerances
 
@@ -171,8 +171,8 @@ def parse_mapspec(text: str, tols: Tolerances = DEFAULT_TOLS) -> MapSpecFile:
 
 
 def _emit_terms(jet: Jet, lines: list[str]) -> None:
-    for idx, coeff in jet.terms():
-        lines.append(f"{' '.join(str(e) for e in idx.exponents)} : {coeff!r}")
+    for coeff, exponents in _jet_terms(jet):
+        lines.append(f"{' '.join(map(str, exponents))} : {coeff!r}")
 
 
 def emit_mapspec(m: MapSpecFile | FastSlowMapSpec) -> str:

@@ -546,6 +546,130 @@ STRUCTURAL_ORACLES = {
 }
 
 
+# -- references for the exponent enumeration and the structure checks that
+# walked ``Jet.coeffs`` dicts, kept as they were
+
+
+def monomials_oracle(num_vars, degree):
+    """Reference for ``monomials_of_degree``: the recursive enumeration of
+    every exponent tuple of the degree, as sorted ``MultiIndex`` instances."""
+    out = []
+
+    def rec(prefix, remaining, slots):
+        if slots == 1:
+            out.append(prefix + (remaining,))
+            return
+        for e in range(remaining + 1):
+            rec(prefix + (e,), remaining - e, slots - 1)
+
+    rec((), degree, num_vars)
+    return sorted(MultiIndex(t) for t in out)
+
+
+def eps01_diffs_oracle(H, V, order):
+    """Reference for ``verify_reduced_embedding``'s ``eps01_diffs``: per
+    degree, the worst gap between map and field over the monomials whose
+    last (eps) exponent is 0 or 1."""
+    eps01 = {}
+    for l in range(2, order + 1):
+        worst = 0.0
+        for i in range(len(H)):
+            hpart = H[i].degree_part(l)
+            vpart = V[i].degree_part(l)
+            for idx in set(hpart.coeffs) | set(vpart.coeffs):
+                if idx.exponents[-1] in (0, 1):
+                    worst = max(worst, abs(hpart.coeffs.get(idx, 0.0)
+                                           - vpart.coeffs.get(idx, 0.0)))
+        eps01[l] = worst
+    return eps01
+
+
+def eps2_oracle(H, V):
+    """Reference for ``verify_reduced_embedding``'s ``eps2_solver`` and
+    ``eps2_closed``: the eps^2 coefficients of the field and their closed
+    form from the map, by ``coefficient`` lookups."""
+    n = len(H) - 1
+    a = np.array([H[i].coefficient((0,) * n + (1,)) for i in range(n)])
+    eps2_idx = (0,) * n + (2,)
+    solver, closed = np.zeros(n), np.zeros(n)
+    for i in range(n):
+        corr = 0.0
+        for s in range(n):
+            exps = [0] * (n + 1)
+            exps[s] = 1
+            exps[n] = 1
+            corr += H[i].coefficient(tuple(exps)) * a[s] / 2.0
+        closed[i] = H[i].coefficient(eps2_idx) - corr
+        solver[i] = V[i].coefficient(eps2_idx)
+    return solver, closed
+
+
+def pure_x_oracle(hat_map, k):
+    """Reference for ``cm_normal_form_transform``'s ``pure_x_residual``: the
+    largest coefficient of hat_map - identity free of every variable past
+    the k slow ones."""
+    pure_x = 0.0
+    for i, comp in enumerate(hat_map):
+        delta = comp - Jet.variable(comp.num_vars, comp.order, i)
+        for idx, c in delta.coeffs.items():
+            if all(e == 0 for e in idx.exponents[k:]):
+                pure_x = max(pure_x, abs(c))
+    return pure_x
+
+
+def quad_closed_oracle(V, H, k, N0):
+    """Reference for ``embed_on_center_manifold``'s ``quad_closed_diff``:
+    the degree-2 eps-free coefficients of the critical component V[k]
+    against their closed formulas from H[k]."""
+    mred = k + 2
+    vu2 = V[k].degree_part(2)
+    hu2 = H[k].degree_part(2)
+    quad = 0.0
+    for alpha in monomials_oracle(mred, 2):
+        if alpha.exponents[k + 1] != 0:
+            continue
+        eu = alpha.exponents[k]
+        got = vu2.coeffs.get(alpha, 0.0)
+        if eu == 0:
+            expected = 0.0
+        elif eu == 1:
+            expected = hu2.coeffs.get(alpha, 0.0)
+        else:
+            expected = hu2.coeffs.get(alpha, 0.0)
+            for s in range(k):
+                exps = [0] * mred
+                exps[s] = 1
+                exps[k] = 1
+                expected -= 0.5 * hu2.coeffs.get(MultiIndex(exps), 0.0) * N0[s]
+        quad = max(quad, abs(got - expected))
+    return quad
+
+
+def face_roots_oracle(spec, exit_point, axis_fixed, box):
+    """Reference for ``dynamics._face_roots``: the face polynomial summed
+    over ``f.coeffs`` term by term, then its real roots inside the face."""
+    f = spec.f[0]
+    base = spec.base_point
+    fixed_val = exit_point[axis_fixed] - base[axis_fixed]
+    free = 1 - axis_fixed
+    poly = np.zeros(f.order + 1)
+    for idx, c in f.coeffs.items():
+        poly[idx.exponents[free]] += c * fixed_val ** idx.exponents[axis_fixed]
+    coeffs_desc = poly[::-1]
+    nz = np.flatnonzero(np.abs(coeffs_desc) > 0)
+    if nz.size == 0:
+        return []
+    lo, hi = box.bounds[free]
+    out = []
+    for root in np.roots(coeffs_desc[nz[0]:]):
+        if abs(root.imag) > 1e-8:
+            continue
+        val = root.real + base[free]
+        if lo - 1e-9 <= val <= hi + 1e-9:
+            out.append(val)
+    return sorted(out)
+
+
 @dataclass
 class OracleOrbit:
     points: np.ndarray          # post-transient start, then every step
@@ -636,6 +760,40 @@ def random_contact3d_spec(rng, order=5):
     ])
     return FastSlowMapSpec(n=3, k=1, order=order, N=N, f=f, G=G,
                            base_point=np.zeros(3))
+
+
+def random_reduced_spec(rng, n, k, order=5):
+    """Random map in n variables, k of them slow, about a random base point
+    that lies on the critical manifold and is normally hyperbolic: the fast
+    equations are f_i = a_i y_i + B z + random terms of degree 2 and 3, with
+    a_i in (-1.2, -0.6), y the first p = n - k variables and z the slow
+    ones; N(0) stacks I_p over C, and B, C have entries in (-0.3, 0.3), so
+    the multipliers, the eigenvalues of I + diag(a) + B C, stay inside the
+    unit circle.  N and G get random higher terms, G its eps terms too."""
+    p = n - k
+
+    def sprinkle(base, m, degrees):
+        terms = dict(base)
+        for d in degrees:
+            for alpha in monomials_of_degree(m, d):
+                if rng.random() < 0.4:
+                    terms[alpha.exponents] = float(rng.uniform(-1.0, 1.0))
+        return terms
+
+    def unit(var):
+        return tuple(int(j == var) for j in range(n))
+
+    B, C = rng.uniform(-0.3, 0.3, (p, k)), rng.uniform(-0.3, 0.3, (k, p))
+    f = JetVector([Jet.from_terms(n, order, sprinkle(
+        {unit(i): float(rng.uniform(-1.2, -0.6)),
+         **{unit(p + s): float(B[i, s]) for s in range(k)}}, n, (2, 3))) for i in range(p)])
+    N0 = np.vstack((np.eye(p), C))
+    N = tuple(tuple(Jet.from_terms(n, order, sprinkle({(0,) * n: float(N0[a, j])}, n, (1,)))
+                    for j in range(p)) for a in range(n))
+    G = JetVector([Jet.from_terms(n + 1, order, sprinkle({}, n + 1, (0, 1, 2)))
+                   for _ in range(n)])
+    return FastSlowMapSpec(n=n, k=k, order=order, N=N, f=f, G=G,
+                           base_point=rng.uniform(-0.3, 0.3, n))
 
 
 def random_contact_spec(rng, n, k, order=4):

@@ -12,7 +12,7 @@ from fastslow.jets import (Jet, JetVector, _GradedTable, jet_compose, jet_matrix
                            jet_mul, jet_partial, jet_reciprocal, jet_shift,
                            jetvector_compose, max_coeff_diff, monomials_of_degree,
                            count_monomials, MultiIndex)
-from conftest import derivation_triples_oracle
+from conftest import derivation_triples_oracle, monomials_oracle
 
 
 def J(m, r, terms):
@@ -64,6 +64,27 @@ class TestMultiIndex:
         assert len(ms) == count_monomials(3, 2) == 6
         assert len(set(ms)) == 6
         assert all(m.degree == 2 for m in ms)
+
+    def test_non_integral_exponent_rejected(self):
+        for exps in ((1.5, 0), [0.5], (2, 1e-9), (float("nan"), 0), (float("inf"),)):
+            with pytest.raises(StructuralError, match="non-integral"):
+                MultiIndex(exps)
+        with pytest.raises(StructuralError, match="non-integral"):
+            Jet(2, 3, {(1.7, 0): 2.0})
+        # integral floats name the shared instance
+        assert MultiIndex((1.0, 0)) is MultiIndex((1, 0))
+        assert Jet(2, 3, {(1.0, 0.0): 2.0}).coefficient((1, 0)) == 2.0
+
+    def test_enumeration_needs_a_variable(self):
+        for num_vars in (0, -1):
+            with pytest.raises(StructuralError, match="num_vars must be >= 1"):
+                monomials_of_degree(num_vars, 2)
+
+    def test_enumeration_equals_the_recursive_oracle(self):
+        for m in range(1, 7):
+            for d in range(8):
+                got, want = monomials_of_degree(m, d), monomials_oracle(m, d)
+                assert got == want and all(a is b for a, b in zip(got, want)), (m, d)
 
 
 class TestMul:
@@ -292,6 +313,54 @@ def _jet_keys(obj):
         return [key for jet in obj for key in jet.coeffs]
     return ([key for row in obj.N for jet in row for key in jet.coeffs]
             + _jet_keys(obj.f) + _jet_keys(obj.G))
+
+
+def test_exponent_rows_equal_the_recursive_enumeration():
+    # every shape m <= 6, order <= 7 under the cap, built afresh
+    for m in range(1, 7):
+        for order in range(1, 8):
+            try:
+                table = _GradedTable(m, order)
+            except StructuralError:
+                continue
+            want = [a.exponents for d in range(order + 1) for a in monomials_oracle(m, d)]
+            assert table.exponents.dtype == np.int64
+            assert table.exponents.tolist() == [list(e) for e in want], (m, order)
+            assert not table.exponents.flags.writeable
+
+
+def test_table_build_makes_no_index_objects():
+    from fastslow import jets
+    before = len(jets._INTERNED)
+    table = _GradedTable(9, 2)  # no other test makes monomials in nine variables
+    assert len(jets._INTERNED) == before
+    assert [a.exponents for a in monomials_of_degree(9, 2)] == \
+        [tuple(e) for e in table.exponents[table.ends[1] + 1:].tolist()]
+
+
+def test_public_keys_are_the_shared_indices():
+    # Jet(mapping), coefficient, terms() and coeffs on random sparse maps
+    # keyed by tuples, tuples of integral floats and MultiIndex instances
+    rng = np.random.default_rng(26)
+    for _ in range(200):
+        m, order = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+        basis = [a for d in range(order + 1) for a in monomials_oracle(m, d)]
+        picked = rng.random(len(basis)) < rng.random()
+        values = np.where(rng.random(len(basis)) < 0.2, 0.0,
+                          rng.uniform(-1.0, 1.0, len(basis)))
+        kinds = rng.integers(0, 3, len(basis))
+        mapping = {(a.exponents, tuple(map(float, a.exponents)), a)[kind]: v
+                   for a, v, kind, keep in zip(basis, values, kinds, picked) if keep}
+        jet = Jet(m, order, mapping)
+        want = sorted((k if isinstance(k, MultiIndex) else MultiIndex(k), v)
+                      for k, v in mapping.items() if v != 0.0)
+        terms = list(jet.terms())
+        assert [(k.exponents, v) for k, v in terms] == [(k.exponents, v) for k, v in want]
+        assert all(k is w for (k, _), (w, _) in zip(terms, want))
+        assert list(jet.coeffs.items()) == terms
+        assert all(k is w for k, (w, _) in zip(jet.coeffs, want))
+        for a, v, keep in zip(basis, values, picked):
+            assert jet.coefficient(a) == jet.coefficient(a.exponents) == (v if keep else 0.0)
 
 
 def test_derivation_triples_equal_the_per_variable_build():

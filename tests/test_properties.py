@@ -26,13 +26,14 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from fastslow.cli import execute_command
-from fastslow.dynamics import (Box, _seed_on_manifold, branch_selection_experiment,
-                               compile_jet_callable, fit_powerlaw,
-                               fold_exit_experiment, integrate_time1)
+from fastslow.dynamics import (Box, _face_roots, _seed_on_manifold,
+                               branch_selection_experiment, compile_jet_callable,
+                               fit_powerlaw, fold_exit_experiment, integrate_time1)
 from fastslow import embedding, singularities
 from fastslow.embedding import (_takens_solve, _time1, flow_time1_jet, nilpotent_log,
-                                takens_embed_unipotent)
-from fastslow.errors import StructuralError
+                                reduced_map_jets, takens_embed_unipotent,
+                                verify_reduced_embedding)
+from fastslow.errors import ConvergenceError, StructuralError
 from fastslow.jets import (Jet, JetVector, MultiIndex, _composition_matrix, _derivation,
                            _graded_coeffs, _graded_jets, _graded_table, jet_compose,
                            jet_linear_map, jet_mul, jet_partial, jet_shift,
@@ -48,13 +49,15 @@ from fastslow.specfiles import emit_mapspec, parse_mapspec
 from fastslow.tols import DEFAULT_TOLS
 from conftest import nilpotent_powers as _nilpotent_powers
 from conftest import (STRUCTURAL_ORACLES, compose_oracle, csr_derivation_oracle,
-                      csr_time1_oracle, finite_series_oracle, graph_operator_oracle,
+                      csr_time1_oracle, eps01_diffs_oracle, eps2_oracle, face_roots_oracle,
+                      finite_series_oracle, graph_operator_oracle,
                       jet_linear_map_oracle, jet_mul_oracle, jet_partial_oracle,
                       jet_shift_oracle, lie_series_oracle, make_contact3d_spec,
                       make_contact4d_k1_spec, make_contact4d_k2_spec, make_fold_spec,
                       make_pitchfork_spec, make_transcritical_spec,
-                      nilpotency_index_oracle, orbit_oracle,
-                      random_contact_spec, random_nilpotent_field,
+                      nilpotency_index_oracle, orbit_oracle, pure_x_oracle,
+                      quad_closed_oracle, random_contact_spec, random_nilpotent_field,
+                      random_reduced_spec,
                       takens_operator_oracle, takens_solve_oracle, time1_oracle)
 
 COEFF = st.floats(-0.8, 0.8, allow_nan=False, allow_subnormal=False)
@@ -186,7 +189,7 @@ def test_takens_operator_is_the_first_variation_of_time1(case):
     table = _graded_table(m, l)
     part = slice(table.ends[l - 1], table.ends[l])
     Lpows = _nilpotent_powers(L, DEFAULT_TOLS.nilp)
-    V = np.zeros((m, len(table.monomials)))
+    V = np.zeros((m, table.ends[-1]))
     V[:, table.var] = L
     A = _derivation(V, table, l)[part, part]
     op = takens_operator_oracle(Lpows, A, l * (len(Lpows) - 1))
@@ -204,7 +207,7 @@ def test_takens_series_inverts_the_dense_operator(case):
     table = _graded_table(m, l)
     part = slice(table.ends[l - 1], table.ends[l])
     Lpows = _nilpotent_powers(L, DEFAULT_TOLS.nilp)
-    V = np.zeros((m, len(table.monomials)))
+    V = np.zeros((m, table.ends[-1]))
     V[:, table.var] = L
     A = _derivation(V, table, l)[part, part]
     rhs = _graded_coeffs(F, table)[:, part]
@@ -247,7 +250,7 @@ def graph_cases(draw):
     W1 = matrix(q, 1, st.floats(0.1, 0.5))
     M[:k + 1, k + 1] += (matrix(k + 1, q) @ W1)[:, 0]
     table = _graded_table(mred, d)
-    inner = np.zeros((mred, len(table.monomials)))
+    inner = np.zeros((mred, table.ends[-1]))
     inner[:, table.var] = M
     part = slice(table.ends[d - 1], table.ends[d])
     Phi = _composition_matrix(inner, table, table, d)[part, part]
@@ -719,6 +722,100 @@ def test_random_contact_specs_pass_the_center_manifold_checks(case):
     assert cm.invariance_residual <= 1e-10 * max(1.0, cm.W.max_abs())
     assert abs(cm.mu1 - 1.0) <= 1e-10
     assert embed_on_center_manifold(cm).contact_ok
+
+
+# -- structure checks on the graded arrays equal their loop oracles ----------
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+@st.composite
+def reduced_specs(draw):
+    """:func:`random_reduced_spec` with n = 2 or 3 and order 3..5."""
+    n = draw(st.integers(2, 3))
+    k, order = draw(st.integers(1, n - 1)), draw(st.integers(3, 5))
+    return random_reduced_spec(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))),
+                               n, k, order)
+
+
+@settings(max_examples=60)
+@given(reduced_specs(), st.integers(0, 1), st.floats(0.0, 1.0), st.booleans())
+def test_reduced_and_face_checks_have_the_bits_of_the_loop_oracles(spec, axis, where, upper):
+    order = spec.order
+    rep = verify_reduced_embedding(spec, spec.base_point, order)
+    H = reduced_map_jets(spec.recenter(spec.base_point))
+    V = takens_embed_unipotent(H, order, spec.tols).V
+    want = eps01_diffs_oracle(H, V, order)
+    assert list(rep.eps01_diffs) == list(want)
+    assert _hex(rep.eps01_diffs.values()) == _hex(want.values())
+    solver, closed = eps2_oracle(H, V)
+    assert _hex(rep.eps2_solver) == _hex(solver) and _hex(rep.eps2_closed) == _hex(closed)
+    if spec.n == 2:
+        box = Box(((-0.5, 0.5), (-0.4, 0.4)))
+        exit_point = np.array([lo + where * (hi - lo) for lo, hi in box.bounds])
+        exit_point[axis] = box.bounds[axis][upper]
+        assert _hex(_face_roots(spec, exit_point, axis, box)) == \
+            _hex(face_roots_oracle(spec, exit_point, axis, box))
+
+
+@settings(max_examples=30)
+@given(contact_specs())
+def test_contact_checks_have_the_bits_of_the_loop_oracles(case):
+    n, k, seed = case
+    spec = random_contact_spec(np.random.default_rng(seed), n, k)
+    nf = cm_normal_form_transform(spec)
+    assert _hex([nf.pure_x_residual]) == _hex([pure_x_oracle(nf.hat_map, k)])
+    cm = center_manifold_restricted_map(nf)
+    emb = embed_on_center_manifold(cm)
+    r = cm.restricted_map.order
+    H = JetVector(list(cm.restricted_map) + [Jet.variable(k + 2, r, k + 1)], k + 2, r)
+    want = quad_closed_oracle(emb.embedding.V, H, k, cm.restricted_N.constant_vector())
+    assert _hex([emb.quad_closed_diff]) == _hex([want])
+
+
+# -- one nilpotency test per embedding ------------------------------------------
+
+
+@st.composite
+def conjugated_chain_maps(draw):
+    """Map jets whose linear part is I + P C P^-1: C one Jordan chain over
+    all m = 2..7 variables with weights U(-3, 3), P = I + U(-0.9, 0.9), and
+    random terms of degree 2..order, order 2 or 3.  The nilpotency tests of
+    A - I and of its logarithm disagree on some of these draws."""
+    m, order = draw(st.integers(2, 7)), draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    P = np.eye(m) + rng.uniform(-0.9, 0.9, (m, m))
+    A = np.eye(m) + P @ np.diag(rng.uniform(-3.0, 3.0, m - 1), 1) @ np.linalg.inv(P)
+    comps = []
+    for i in range(m):
+        terms = {tuple(1 if j == s else 0 for j in range(m)): A[i, s] for s in range(m)}
+        for d in range(2, order + 1):
+            for alpha in monomials_of_degree(m, d):
+                if rng.random() < 0.3:
+                    terms[alpha.exponents] = float(rng.uniform(-0.5, 0.5))
+        comps.append(Jet.from_terms(m, order, terms))
+    return JetVector(comps, m, order)
+
+
+@settings(max_examples=150)
+@given(conjugated_chain_maps())
+def test_embedding_meets_the_band_or_refuses(H):
+    """The embedding takes its series depth from the nilpotency test of
+    A - I alone.  A field it returns must meet the band, also by the
+    time-1 map summed to the bound L^m = 0 of any nilpotent m x m matrix,
+    which does not depend on that test."""
+    m, order = H.num_vars, H.order
+    band = DEFAULT_TOLS.embed_residual * max(1.0, H.max_abs())
+    try:
+        result = takens_embed_unipotent(H, order)
+    except ConvergenceError:
+        return
+    table = _graded_table(m, order)
+    flow = _time1(_graded_coeffs(result.V, table), table, order, m)
+    assert result.residual <= band
+    assert np.max(np.abs(flow - _graded_coeffs(H, table))) <= band
 
 
 # -- scipy as the oracle -------------------------------------------------------
