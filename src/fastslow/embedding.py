@@ -176,34 +176,24 @@ def nilpotent_log(A: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
 
     Coincides with A - I when (A - I)^2 = 0; for deeper nilpotency the
     higher terms are required so that the exponential reproduces A exactly.
+    The series runs to (A - I)^m, zero for any nilpotent m x m matrix, or
+    to its first exactly zero term; the nilpotency test of A - I only
+    refuses a matrix that is not unipotent.
     """
-    return _nilpotent_log(A, tols)[0]
-
-
-def _nilpotent_log(A: np.ndarray, tols: Tolerances) -> tuple[np.ndarray, int]:
-    """:func:`nilpotent_log` of ``A`` and the nilpotency index of A - I,
-    which in exact arithmetic is the index of the logarithm too:
-    log(I + N) = N g(N) with g(0) = I invertible and commuting with N."""
     A = np.asarray(A, dtype=float)
     N = A - np.eye(len(A))
-    idx = nilpotency_index(N, tols.nilp)
-    if idx is None:
-        raise UnsupportedCaseError(
-            "linear part is not unipotent; see jordan_chevalley_split for the "
-            "semisimple/nilpotent diagnosis")
+    _refuse_non_nilpotent(N, tols.nilp, "linear part is not unipotent; see")
     return _finite_series(lambda P, k: P @ N, N,
-                          [(-1.0) ** p / (p + 1) for p in range(idx)]), idx
+                          [(-1.0) ** p / (p + 1) for p in range(max(len(A), 1))])
 
 
-def _nilpotent_depth(L: np.ndarray, tol: float) -> int:
-    """The nilpotency index of ``L`` (L^depth = 0); refuses a matrix that
-    is not nilpotent."""
-    idx = nilpotency_index(L, tol)
-    if idx is None:
+def _refuse_non_nilpotent(L: np.ndarray, tol: float,
+                          refusal: str = "linear part is not nilpotent; run") -> None:
+    """Refuses ``L`` with :class:`UnsupportedCaseError` unless it is nilpotent
+    within ``tol``; ``refusal`` opens the message."""
+    if nilpotency_index(L, tol) is None:
         raise UnsupportedCaseError(
-            "linear part is not nilpotent; run jordan_chevalley_split for the "
-            "semisimple/nilpotent diagnosis")
-    return idx
+            f"{refusal} jordan_chevalley_split for the semisimple/nilpotent diagnosis")
 
 
 def _time1(V: np.ndarray, table: _GradedTable, degree: int, depth: int) -> np.ndarray:
@@ -216,13 +206,14 @@ def _time1(V: np.ndarray, table: _GradedTable, degree: int, depth: int) -> np.nd
     is block lower-triangular by degree, and its leading n x n block is the
     operator of the order-``degree`` truncation, exactly.  The series runs
     X <- D_V X / k on that block from the columns of x_1..x_m and is finite.
-    ``depth`` is the nilpotency index of the linear part L (L^depth = 0), so
+    L^depth = 0 for the linear part L (callers pass the dimension m), so
     the diagonal block of D_V on degree d is nilpotent of index at most
     d(depth - 1) + 1, while the blocks below the diagonal raise the degree.
     A nonzero coefficient of degree at most ``degree`` therefore comes from
     at most degree - 1 raising steps and d(depth - 1) steps in each diagonal
     block d = 1..``degree``, which bounds the number of terms by
-    (degree - 1) + (depth - 1) degree (degree + 1) / 2."""
+    (degree - 1) + (depth - 1) degree (degree + 1) / 2; the series stops
+    earlier at its first exactly zero term."""
     op = _derivation(V, table, degree)
     X = np.zeros((op.shape[0], len(V)))
     X[table.var, np.arange(len(V))] = 1.0
@@ -249,11 +240,9 @@ def _graded_finite(jets: JetVector, table: _GradedTable, what: str) -> np.ndarra
     return coeffs
 
 
-def _check_field(V: JetVector, table: _GradedTable,
-                 tols: Tolerances) -> tuple[np.ndarray, int]:
-    """Validate a vector field; returns its coefficients on the graded basis
-    of ``table`` and the depth of its nilpotent linear part (see
-    :func:`_time1`)."""
+def _check_field(V: JetVector, table: _GradedTable, tols: Tolerances) -> np.ndarray:
+    """Validate a vector field, refusing one whose linear part is not
+    nilpotent; returns its coefficients on the graded basis of ``table``."""
     if len(V) != V.num_vars:
         raise StructuralError("vector field must have one component per variable")
     const = V.constant_vector()
@@ -261,7 +250,8 @@ def _check_field(V: JetVector, table: _GradedTable,
         raise StructuralError("vector field must vanish at the origin; "
                               "re-expand about the equilibrium first")
     coeffs = _graded_finite(V, table, "vector field")
-    return coeffs, _nilpotent_depth(coeffs[:, table.var], tols.nilp)
+    _refuse_non_nilpotent(coeffs[:, table.var], tols.nilp)
+    return coeffs
 
 
 def flow_time1_jet(V: JetVector, order: int,
@@ -275,9 +265,9 @@ def flow_time1_jet(V: JetVector, order: int,
     if order < 1 or order > V.order:
         raise StructuralError(f"order must lie in 1..{V.order}")
     table = _graded_table(V.num_vars, order)
-    coeffs, depth = _check_field(V, table, tols)
+    coeffs = _check_field(V, table, tols)
     reliable = min(c.reliable_order for c in V)
-    return JetVector(_graded_jets(_time1(coeffs, table, order, depth), table,
+    return JetVector(_graded_jets(_time1(coeffs, table, order, V.num_vars), table,
                                   V.num_vars, V.order, reliable),
                      V.num_vars, V.order)
 
@@ -315,7 +305,8 @@ def _takens_solve(L: np.ndarray, A: np.ndarray, rhs: np.ndarray,
     sum_{p,q} L^p F (A^T)^q/(p+q+1)! to the time-1 map of Lx + F is ``rhs``,
     with ``A`` the degree-l block of D_{Lx}.  For the commuting X F = L F and
     N F = F A^T - L F that operator is e^X (e^N - 1)/N, so F = beta(N) e^-L rhs
-    with beta(z) = z/(e^z - 1); N^k = 0 for k > (depth - 1)(l + 1)."""
+    with beta(z) = z/(e^z - 1); N^k = 0 for k > (depth - 1)(l + 1) when
+    L^depth = 0 (callers pass the dimension m)."""
     start = _finite_series(lambda F, k: (L @ F) * (-1.0 / k), rhs, [1.0] * depth)
 
     def step(F, k):
@@ -349,8 +340,7 @@ def takens_embed_unipotent(H: JetVector, order: int,
         raise PreconditionError("map must fix the origin; re-center first")
     table = _graded_table(m, order)
     target = _graded_finite(H, table, "map")
-    # refuses non-unipotent linear parts; L^depth = 0 with the depth of A - I
-    L, depth = _nilpotent_log(target[:, table.var], tols)
+    L = nilpotent_log(target[:, table.var], tols)  # refuses non-unipotent ones
 
     V = np.zeros_like(target)
     V[:, table.var] = L
@@ -359,12 +349,12 @@ def takens_embed_unipotent(H: JetVector, order: int,
     for l in range(2, order + 1):
         # V holds degrees < l here; F_l enters degree l linearly
         part = slice(table.ends[l - 1], table.ends[l])
-        known_l = _time1(V, table, l, depth)[:, part]
+        known_l = _time1(V, table, l, m)[:, part]
         V[:, part] = _takens_solve(L, lin[part, part], target[:, part] - known_l,
-                                   depth, l)
+                                   m, l)
 
-    residual = float(np.max(np.abs(_time1(V, table, order, depth) - target)))
-    if residual > tols.embed_residual * max(1.0, H.max_abs()):
+    residual = float(np.max(np.abs(_time1(V, table, order, m) - target)))
+    if not residual <= tols.embed_residual * max(1.0, H.max_abs()):
         raise ConvergenceError(f"embedded field misses the map: residual {residual:.3g} "
                                f"above embed_residual x max(1, |H|)")
     return EmbeddingResult(V=JetVector(_graded_jets(V, table, m, H.order), m, H.order),

@@ -489,7 +489,8 @@ class JetVector:
                          self.num_vars, self.order)
 
     def max_abs(self) -> float:
-        return max((c.max_abs() for c in self.components), default=0.0)
+        """Largest |coefficient| over the components; NaN if any is NaN."""
+        return float(np.max([c.max_abs() for c in self.components], initial=0.0))
 
     def __repr__(self) -> str:
         return (f"JetVector[{len(self.components)} comps, {self.num_vars} vars, "

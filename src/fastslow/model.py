@@ -190,7 +190,7 @@ def nontrivial_multipliers(spec: FastSlowMapSpec, z) -> MultiplierSet:
 def classify_point(spec: FastSlowMapSpec, z) -> SingularityClass:
     fz = spec.f_at(z)
     resid = float(np.max(np.abs(fz))) if fz.size else 0.0
-    if resid > spec.tols.manifold:
+    if not resid <= spec.tols.manifold:
         raise PreconditionError(
             f"point is off the critical manifold: |f(z)| = {resid:.3g} exceeds "
             f"{spec.tols.manifold:g}")
@@ -234,7 +234,7 @@ def classify_point(spec: FastSlowMapSpec, z) -> SingularityClass:
 def reduced_data(spec: FastSlowMapSpec, z) -> ReducedData:
     fz = spec.f_at(z)
     resid = float(np.max(np.abs(fz))) if fz.size else 0.0
-    if resid > spec.tols.manifold:
+    if not resid <= spec.tols.manifold:
         raise PreconditionError(
             f"point is off the critical manifold: |f(z)| = {resid:.3g}")
     n = spec.n

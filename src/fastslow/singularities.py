@@ -26,7 +26,7 @@ from .jets import (Jet, JetVector, _compose, _composition_matrix, _graded_coeffs
                    jetvector_compose)
 from .model import (FastSlowMapSpec, _evaluate_matrix, extended_map_jets,
                     nontrivial_multipliers)
-from .embedding import (EmbeddingResult, _finite_series, _nilpotent_depth,
+from .embedding import (EmbeddingResult, _finite_series, _refuse_non_nilpotent,
                         takens_embed_unipotent)
 from .tols import DEFAULT_TOLS, Tolerances
 
@@ -307,7 +307,7 @@ def embed_2d(spec: FastSlowMapSpec, order: int | None = None,
 
     out = _planar_case(_planar_partials(V[0], V[0].coefficient((0, 0, 1)),
                                         V[1].coefficient((0, 0, 1))), tols)
-    if factor_residual > tols.structure:
+    if not factor_residual <= tols.structure:
         raise StructuralError(
             f"embedded field does not factor through the fast equation: "
             f"residual {factor_residual:.3g} exceeds {tols.structure:g}")
@@ -389,7 +389,7 @@ def check_regular_contact(spec: FastSlowMapSpec, z,
     quadratic nondegeneracy and slow regularity."""
     tols = tols or spec.tols
     fz = spec.f_at(z)
-    if float(np.max(np.abs(fz))) > tols.manifold:
+    if not float(np.max(np.abs(fz))) <= tols.manifold:
         raise PreconditionError(
             f"point is off the critical manifold: |f(z)| = {np.max(np.abs(fz)):.3g}")
     n, k = spec.n, spec.k
@@ -599,7 +599,7 @@ def _split_var_divisible(jet: Jet, var: int, tol: float, what: str) -> Jet:
     """Drop sub-tolerance terms not carrying ``var``; reject larger ones."""
     free = jet.subs_zero(var)
     worst = free.max_abs()
-    if worst > tol:
+    if not worst <= tol:
         raise StructuralError(
             f"{what} has a coefficient {worst:.3g} not divisible by the "
             f"critical variable; the graph solve did not converge")
@@ -611,7 +611,8 @@ def _graph_solve(C: np.ndarray, Phi: np.ndarray, rhs: np.ndarray,
     """X with B X - X Phi = ``rhs`` at degree d = ``degree``, for
     C = (B - I)^-1 and Phi the degree-d block of the composition matrix of
     the linear return map M: the Neumann series of X = C rhs + C X N, N = Phi
-    - I, ends as N^j = 0 for j > d(depth - 1) when (M - I)^depth = 0."""
+    - I, ends as N^j = 0 for j > d(depth - 1) when (M - I)^depth = 0
+    (callers pass the dimension of M)."""
     N = Phi - np.eye(len(Phi))
     return _finite_series(lambda X, k: C @ X @ N, C @ rhs,
                           [1.0] * (degree * (depth - 1) + 1))
@@ -674,13 +675,13 @@ def center_manifold_restricted_map(nf: ContactNormalForm,
             if d <= 2:  # M is final from degree 2 on, see below
                 inner[:, table.var] = M
                 phi = _composition_matrix(inner, table, table, order)
-                depth = _nilpotent_depth(M - np.eye(mred), tols.nilp)
+                _refuse_non_nilpotent(M - np.eye(mred), tols.nilp)
             # pass d needs degree d of the defect only
             _, defect = on_graph(W, d)
             part = slice(table.ends[d - 1], table.ends[d])
             coeffs[:, part] = _graph_solve(C, phi[part, part],
                                            _graded_coeffs(defect, table)[:, part],
-                                           depth, d)
+                                           mred, d)
             W = JetVector(_graded_jets(coeffs, table, mred, r), mred, r)
             if d == 1:
                 # the (x, u) rows see w = W_1 z + ..., so the linear return
@@ -690,7 +691,7 @@ def center_manifold_restricted_map(nf: ContactNormalForm,
                 M[:k + 1] += hm[:k + 1, k + 1:n] @ coeffs[:, table.var]
     restricted, defect = on_graph(W, r)
     residual = defect.degree_cap(order).max_abs()
-    if residual > tols.structure * max(1.0, W.max_abs()):
+    if not residual <= tols.structure * max(1.0, W.max_abs()):
         raise ConvergenceError(f"center-manifold graph misses invariance: residual "
                                f"{residual:.3g} above structure x max(1, |W|)")
 
@@ -829,15 +830,15 @@ def embed_on_center_manifold(cm: CenterManifoldData, order: int | None = None,
     quad = float(np.abs(got - expected)[E2[:, eps_var] == 0].max())
 
     failures = []
-    if lin > tols.structure:
+    if not lin <= tols.structure:
         failures.append(f"origin values of the factor/forcing (gap {lin:.3g})")
-    if factor_residual > tols.structure:
+    if not factor_residual <= tols.structure:
         failures.append(f"layer factorization through the restricted fast "
                         f"scalar (residual {factor_residual:.3g})")
-    if partials_diff > tols.structure:
+    if not partials_diff <= tols.structure:
         failures.append(f"slow partial derivatives of the critical factor "
                         f"(gap {partials_diff:.3g})")
-    if quad > tols.structure:
+    if not quad <= tols.structure:
         failures.append(f"closed-form quadratic coefficients (gap {quad:.3g})")
     if failures:
         raise StructuralError("embedding structure checks failed: "

@@ -215,6 +215,19 @@ class TestCommands:
         assert out == ""
         assert err.startswith("error[ConvergenceError]: ") and err.count("\n") == 1
 
+    def test_embed_nan_residual_exit_1(self, tmp_path, capsys):
+        # finite coefficients of 1e200 overflow the Lie series; the NaN
+        # residual ends in one error line and no field file
+        path = tmp_path / "huge.map"
+        path.write_text(FOLD_TEXT.replace("2 0 : 1\n", "2 0 : 1e200\n0 4 : 1e200\n"))
+        out = tmp_path / "F.map"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = execute_command(["embed", "--spec", str(path), "--out", str(out)])
+        assert code == 1 and not out.exists()
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith("error[ConvergenceError]: ") and err.count("\n") == 1
+
     def test_selftest(self, capsys):
         assert execute_command(["selftest"]) == 0
         assert "8/8 checks passed" in capsys.readouterr().out

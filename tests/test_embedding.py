@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import fastslow
-from fastslow.errors import PreconditionError, StructuralError, UnsupportedCaseError
+from fastslow.errors import (ConvergenceError, PreconditionError, StructuralError,
+                             UnsupportedCaseError)
 from fastslow.jets import (Jet, JetVector, jetvector_compose, max_coeff_diff,
                            monomials_of_degree)
 from fastslow.embedding import (_bernoulli_series, flow_time1_jet, jordan_chevalley_split,
@@ -142,6 +143,15 @@ class TestEmbedding:
         bad = next(k for k, v in terms.items() if not np.isfinite(v))
         with pytest.raises(PreconditionError,
                            match=rf"component 0 .*monomial \({bad[0]}, {bad[1]}\)"):
+            takens_embed_unipotent(H, 3)
+
+    def test_nan_residual_refused(self):
+        # a finite map whose Lie series overflows: no band accepts the NaN
+        # residual
+        x, y = Jet.variable(2, 3, 0), Jet.variable(2, 3, 1)
+        H = JetVector([x + y + 1e200 * x ** 2 + 1e200 * y ** 3, y - 1e200 * x ** 3])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ConvergenceError, match="residual nan"):
             takens_embed_unipotent(H, 3)
 
     def test_non_unipotent_routed_to_split(self):

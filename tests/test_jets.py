@@ -294,6 +294,13 @@ class TestStructureHelpers:
         assert a.div_var(1).coefficient((1, 1)) == 2.0
         assert a.mul_var(0).coefficient((2, 2)) == 0.0  # pushed past the order
 
+    def test_max_abs_keeps_a_nan_component(self):
+        # a band check `not residual <= band` refuses a NaN residual only if
+        # the NaN survives the maximum over the components
+        ok, bad = J(1, 2, {(1,): 1.0}), J(1, 2, {(1,): float("nan")})
+        for comps in ([ok, bad], [bad, ok]):
+            assert np.isnan(JetVector(comps).max_abs())
+
     def test_canonical_sparsity(self):
         jet = J(2, 3, {(1, 0): 0.0, (0, 1): 2.0})
         assert len(jet.coeffs) == 1  # explicit zeros are never stored
