@@ -34,7 +34,7 @@ from .singularities import (center_manifold_restricted_map,
 from .dynamics import (branch_selection_experiment, fold_exit_experiment,
                        integrate_time1)
 from .specfiles import emit_jetvector, emit_mapspec, parse_jetvector, parse_mapspec
-from .tols import DEFAULT_TOLS, Tolerances, with_overrides
+from .tols import DEFAULT_TOLS, with_overrides
 
 __all__ = ["ReportTable", "execute_command", "main"]
 
@@ -65,12 +65,10 @@ class ReportTable:
         return "\n".join(lines) + "\n"
 
 
-def _provenance(args, loaded, tols: Tolerances) -> dict[str, str]:
-    prov = {"tool": f"fastslow {__version__}"}
-    if loaded is not None:
-        prov["spec"] = loaded.name or args.spec
+def _provenance(args, loaded) -> dict[str, str]:
+    prov = {"tool": f"fastslow {__version__}", "spec": loaded.name or args.spec}
     prov["tolerances"] = " ".join(
-        f"{k}={v!r}" for k, v in sorted(vars(tols).items()))
+        f"{k}={v!r}" for k, v in sorted(vars(loaded.spec.tols).items()))
     return prov
 
 
@@ -113,7 +111,8 @@ def _finite_option(value: float, name: str) -> float:
     return value
 
 
-def _load(args, tols: Tolerances, least_order: int = 1):
+def _load(args, least_order: int = 1):
+    tols = with_overrides(DEFAULT_TOLS, args.tol)
     with open(args.spec, encoding="utf-8") as fh:
         loaded = parse_mapspec(fh.read(), tols=tols)
     order = getattr(args, "order", None)
@@ -174,9 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
            point=True, out=True)
     p = sub.add_parser("center-manifold",
                        help="contact chart, graph solve, restricted embedding")
-    p.add_argument("--spec", required=True, help="map-spec file")
-    p.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
-                   help="override a named tolerance (repeatable)")
+    common(p)
     p.add_argument("--order", type=int, default=None,
                    help="verification order (default: one below the spec order, "
                         "so every composed coefficient is inside the truncation)")
@@ -185,8 +182,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_classify(args, tols) -> int:
-    loaded = _load(args, tols)
+def _cmd_classify(args) -> int:
+    loaded = _load(args)
     spec = loaded.spec
     z = _parse_point(args.point, spec.n)
     cls = classify_point(spec, z)
@@ -199,8 +196,8 @@ def _cmd_classify(args, tols) -> int:
     return 0
 
 
-def _cmd_reduce(args, tols) -> int:
-    loaded = _load(args, tols)
+def _cmd_reduce(args) -> int:
+    loaded = _load(args)
     spec = loaded.spec
     z = _parse_point(args.point, spec.n)
     rd = reduced_data(spec, z)
@@ -211,22 +208,22 @@ def _cmd_reduce(args, tols) -> int:
     for i in range(spec.n):
         rows.append(("reduced_field", i + 1, 0, float(rd.reduced_field[i])))
     table = ReportTable(columns=["quantity", "i", "j", "value"], rows=rows,
-                        provenance=_provenance(args, loaded, tols))
+                        provenance=_provenance(args, loaded))
     _write_or_print(table.to_csv(), args.out)
     return 0
 
 
-def _cmd_embed(args, tols) -> int:
-    loaded = _load(args, tols)
+def _cmd_embed(args) -> int:
+    loaded = _load(args)
     spec = loaded.spec
     order = args.order or spec.order
     if is_standard_2d(spec):
-        result = embed_2d(spec, order=order, tols=tols)
+        result = embed_2d(spec, order=order)
         emb = result.embedding
         print(f"case {result.case_in} -> {result.case_out}  K0={result.K0!r}  "
               f"factor_residual={result.factor_residual!r}")
     else:
-        emb = takens_embed_unipotent(extended_map_jets(spec), order, tols)
+        emb = takens_embed_unipotent(extended_map_jets(spec), order, spec.tols)
     print(f"residual={emb.residual!r} order={emb.matched_order}")
     if args.out:
         _write_or_print(emit_jetvector(
@@ -235,12 +232,12 @@ def _cmd_embed(args, tols) -> int:
     return 0
 
 
-def _cmd_verify_reduced(args, tols) -> int:
-    loaded = _load(args, tols)
+def _cmd_verify_reduced(args) -> int:
+    loaded = _load(args)
     spec = loaded.spec
     z = _parse_point(args.point, spec.n)
     order = args.order or spec.order
-    rep = verify_reduced_embedding(spec, z, order, tols)
+    rep = verify_reduced_embedding(spec, z, order)
     rows = [("j1_diff", 1, rep.j1_diff)]
     for l, v in sorted(rep.eps01_diffs.items()):
         rows.append(("eps01_diff", l, v))
@@ -250,18 +247,18 @@ def _cmd_verify_reduced(args, tols) -> int:
         rows.append((f"eps2_closed_{i}", 2, float(c)))
     rows.append(("embedding_residual", rep.order, rep.residual))
     table = ReportTable(columns=["quantity", "degree", "value"], rows=rows,
-                        provenance=_provenance(args, loaded, tols))
+                        provenance=_provenance(args, loaded))
     _write_or_print(table.to_csv(), args.out)
     return 0
 
 
-def _cmd_fold_exit(args, tols) -> int:
-    loaded = _load(args, tols)
+def _cmd_fold_exit(args) -> int:
+    loaded = _load(args)
     grid = _parse_eps_grid(args.eps)
     rho = _finite_option(args.rho, "--rho")
     fit = fold_exit_experiment(loaded.spec, rho, grid,
                                observable=args.observable)
-    prov = _provenance(args, loaded, tols)
+    prov = _provenance(args, loaded)
     prov.update({"rho": repr(rho), "observable": args.observable,
                  "slope": repr(fit.slope), "intercept": repr(fit.intercept),
                  "r_squared": repr(fit.r_squared),
@@ -274,8 +271,8 @@ def _cmd_fold_exit(args, tols) -> int:
     return 0
 
 
-def _cmd_branch_select(args, tols) -> int:
-    loaded = _load(args, tols)
+def _cmd_branch_select(args) -> int:
+    loaded = _load(args)
     spec = loaded.spec
     eps = _finite_option(args.eps, "--eps")
     case = args.case
@@ -292,11 +289,11 @@ def _cmd_branch_select(args, tols) -> int:
     return 0
 
 
-def _cmd_contact(args, tols) -> int:
-    loaded = _load(args, tols)
+def _cmd_contact(args) -> int:
+    loaded = _load(args)
     spec = loaded.spec
     z = _parse_point(args.point, spec.n)
-    rep = check_regular_contact(spec, z, tols)
+    rep = check_regular_contact(spec, z)
     rows = [
         ("rank", float(rep.rank)),
         ("rank_ok", float(rep.rank_ok)),
@@ -312,20 +309,20 @@ def _cmd_contact(args, tols) -> int:
         rows.append((f"multiplier_{i}_re", float(mu.real)))
         rows.append((f"multiplier_{i}_im", float(mu.imag)))
     table = ReportTable(columns=["quantity", "value"], rows=rows,
-                        provenance=_provenance(args, loaded, tols))
+                        provenance=_provenance(args, loaded))
     _write_or_print(table.to_csv(), args.out)
     print("contact" if rep.verdict else "not-a-contact-point")
     return 0
 
 
-def _cmd_center_manifold(args, tols) -> int:
+def _cmd_center_manifold(args) -> int:
     # the embedding's structure checks read quadratic coefficients
-    loaded = _load(args, tols, least_order=2)
+    loaded = _load(args, least_order=2)
     spec = loaded.spec
     order = args.order or spec.order - 1
-    nf = cm_normal_form_transform(spec, tols)
-    cm = center_manifold_restricted_map(nf, order=order, tols=tols)
-    emb = embed_on_center_manifold(cm, order=order, tols=tols)
+    nf = cm_normal_form_transform(spec)
+    cm = center_manifold_restricted_map(nf, order=order)
+    emb = embed_on_center_manifold(cm, order=order)
     rows = [
         ("rectification_residual", nf.rectification_residual),
         ("pure_x_residual", nf.pure_x_residual),
@@ -340,13 +337,13 @@ def _cmd_center_manifold(args, tols) -> int:
         ("contact_ok", float(emb.contact_ok)),
     ]
     table = ReportTable(columns=["quantity", "value"], rows=rows,
-                        provenance=_provenance(args, loaded, tols))
+                        provenance=_provenance(args, loaded))
     _write_or_print(table.to_csv(), args.out)
     print("center-manifold pipeline " + ("ok" if emb.contact_ok else "FAILED"))
     return 0
 
 
-def _cmd_selftest(args, tols) -> int:
+def _cmd_selftest(args) -> int:
     checks: list[tuple[str, bool]] = []
 
     x = Jet.variable(1, 4, 0)
@@ -408,8 +405,9 @@ def execute_command(argv) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        tols = with_overrides(DEFAULT_TOLS, getattr(args, "tol", []) or [])
-        return _DISPATCH[args.command](args, tols)
+        # non-finite results end in typed refusals: numpy's warnings add nothing
+        with np.errstate(all="ignore"):
+            return _DISPATCH[args.command](args)
     except _USER_ERRORS as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 2

@@ -53,6 +53,7 @@ LAMBDA_EXCLUSION_BAND = 0.25
 # case approaches the critical fiber at the square-root scale, with margin
 D_MATCH_FACTOR = 5.0
 DEFAULT_TRANSIENT = 10
+_STEP_CAP = 2_000_000  # steps an experiment walks before it gives up
 
 
 @dataclass(frozen=True)
@@ -335,9 +336,6 @@ def _interpolate_crossing(p_in: np.ndarray, p_out: np.ndarray, axis: int,
 
 
 def fold_exit_experiment(spec: FastSlowMapSpec, rho: float, eps_grid,
-                         x_start: float = -0.5,
-                         transient: int = DEFAULT_TRANSIENT,
-                         step_cap: int = 2_000_000,
                          observable: str = "exit") -> ScalingFit:
     """Track the attracting slow manifold through the fold region for each
     eps and fit the power law of the recorded level against eps.
@@ -349,10 +347,11 @@ def fold_exit_experiment(spec: FastSlowMapSpec, rho: float, eps_grid,
     power on coarser eps grids because the exit level carries the slow
     logarithmic correction of the corner analysis.
 
-    rho and every grid entry must be finite and > 0.  Each orbit is walked
+    Each orbit starts on the attracting branch over x = -0.5.  rho and
+    every grid entry must be finite and > 0.  Each orbit is walked
     to its first crossing of the observable level and then on to the face
     x = base + rho, holding two points; an eps whose orbit does not reach
-    that face within ``step_cap`` steps is excluded from the fit.
+    that face within 2e6 steps is excluded from the fit.
     """
     if not (math.isfinite(rho) and rho > 0):
         raise PreconditionError(f"fold exit needs a finite rho > 0, got {rho!r}")
@@ -380,15 +379,15 @@ def fold_exit_experiment(spec: FastSlowMapSpec, rho: float, eps_grid,
     runner = _MapRunner(spec)
     eps_ok, values, excluded = [], [], []
     for eps in eps_values:
-        _, z, _, _ = _walk(runner, _seed_on_manifold(spec, x_start, eps), eps,
-                           transient)
+        _, z, _, _ = _walk(runner, _seed_on_manifold(spec, -0.5, eps), eps,
+                           DEFAULT_TRANSIENT)
         # to the first crossing of the observable level, or to the stop
         # face when no crossing comes first
         prev, z, hit, steps = _walk(
-            runner, z, eps, step_cap,
+            runner, z, eps, _STEP_CAP,
             lambda prev, z: prev[0] <= level < z[0] or z[0] > stop)
         if hit and not z[0] > stop:  # fiber level: walk on to the stop face
-            _, _, hit, _ = _walk(runner, z, eps, step_cap - steps,
+            _, _, hit, _ = _walk(runner, z, eps, _STEP_CAP - steps,
                                  lambda prev, z: z[0] > stop)
         if not hit:
             excluded.append(eps)
@@ -449,9 +448,7 @@ def _face_roots(spec: FastSlowMapSpec, exit_point: np.ndarray, axis_fixed: int,
 def branch_selection_experiment(spec: FastSlowMapSpec, case: str, eps: float,
                                 seed: np.ndarray | None = None,
                                 side: str = "plus",
-                                box: Box | None = None,
-                                transient: int = DEFAULT_TRANSIENT,
-                                step_cap: int = 2_000_000) -> BranchSelection:
+                                box: Box | None = None) -> BranchSelection:
     """Track the incoming attracting slow manifold through the box and label
     the outcome by which outgoing branch (or fast-escape fiber) the orbit is
     within the matching distance of at exit.  Needs eps > 0: at eps = 0 the
@@ -497,10 +494,10 @@ def branch_selection_experiment(spec: FastSlowMapSpec, case: str, eps: float,
     if rd.valid:
         z = z + eps * rd.reduced_field
     runner = _MapRunner(spec)
-    _, z, _, _ = _walk(runner, z, eps, transient)
-    z_exit, exited = _walk_out_of(box, runner, z, eps, step_cap)
+    _, z, _, _ = _walk(runner, z, eps, DEFAULT_TRANSIENT)
+    z_exit, exited = _walk_out_of(box, runner, z, eps, _STEP_CAP)
     if not exited:
-        raise ExperimentError(f"orbit did not leave the box in {step_cap} steps")
+        raise ExperimentError(f"orbit did not leave the box in {_STEP_CAP} steps")
     edge = box.exit_face(z_exit)
     axis_fixed = 0 if edge.startswith(("x", "z1")) else 1
     free = 1 - axis_fixed

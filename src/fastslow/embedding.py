@@ -90,6 +90,16 @@ def _cluster(values: np.ndarray, tol: float) -> list[tuple[complex, int]]:
     return [(complex(np.mean(g)), len(g)) for g in groups]
 
 
+def _linear_part(A) -> np.ndarray:
+    """``A`` as a float matrix; refuses a non-square or non-finite one."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise StructuralError("square matrix required")
+    if not np.isfinite(A).all():
+        raise PreconditionError("matrix has a non-finite entry")
+    return A
+
+
 def jordan_chevalley_split(A: np.ndarray,
                            tols: Tolerances = DEFAULT_TOLS) -> LinearPartDecomposition:
     """Multiplicative Jordan-Chevalley decomposition of an invertible matrix.
@@ -99,9 +109,7 @@ def jordan_chevalley_split(A: np.ndarray,
     each eigenvalue cluster.  Ill-conditioned or inconsistent splits are
     refused rather than returned.
     """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise StructuralError("square matrix required")
+    A = _linear_part(A)
     dim = A.shape[0]
     if dim > _DIM_CAP:
         raise StructuralError(f"dimension {dim} exceeds the cap {_DIM_CAP}")
@@ -180,7 +188,7 @@ def nilpotent_log(A: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     to its first exactly zero term; the nilpotency test of A - I only
     refuses a matrix that is not unipotent.
     """
-    A = np.asarray(A, dtype=float)
+    A = _linear_part(A)
     N = A - np.eye(len(A))
     _refuse_non_nilpotent(N, tols.nilp, "linear part is not unipotent; see")
     return _finite_series(lambda P, k: P @ N, N,
@@ -416,12 +424,11 @@ class ReducedEmbeddingReport:
     residual: float
 
 
-def verify_reduced_embedding(spec: FastSlowMapSpec, z0, order: int,
-                             tols: Tolerances | None = None) -> ReducedEmbeddingReport:
+def verify_reduced_embedding(spec: FastSlowMapSpec, z0,
+                             order: int) -> ReducedEmbeddingReport:
     """Check the order structure of the slow-map embedding at a normally
     hyperbolic point: coefficients with eps-exponent 0 or 1 of map and field
     agree, and the eps^2 coefficients differ by the closed-form correction."""
-    tols = tols or spec.tols
     cls = classify_point(spec, z0)
     if not cls.tag.startswith("NH"):
         raise PreconditionError(
@@ -433,7 +440,7 @@ def verify_reduced_embedding(spec: FastSlowMapSpec, z0, order: int,
 
     n = local.n
     H = reduced_map_jets(local)
-    result = takens_embed_unipotent(H, order, tols)
+    result = takens_embed_unipotent(H, order, spec.tols)
     V = result.V
 
     A = H.linear_matrix()

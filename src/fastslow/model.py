@@ -268,21 +268,23 @@ def reduced_map_step(spec: FastSlowMapSpec, z, eps: float) -> np.ndarray:
 
 
 def critical_manifold_solve(spec: FastSlowMapSpec, guess,
-                            max_iter: int = 50,
                             frozen: Sequence[int] = ()) -> np.ndarray:
     """Newton iteration on f with minimum-norm updates of the coordinates
     not listed in ``frozen``; frozen coordinates come back unchanged.
 
-    Raises :class:`PreconditionError` when the Jacobian of f over the free
-    coordinates loses row rank."""
+    Raises :class:`StructuralError` for a frozen index outside 0..n-1,
+    :class:`PreconditionError` when the Jacobian of f over the free
+    coordinates loses row rank, and :class:`ConvergenceError` after 50 steps."""
+    if any(not 0 <= i < spec.n for i in frozen):
+        raise StructuralError(
+            f"frozen coordinates {tuple(frozen)} must lie in 0..{spec.n - 1}")
     z = np.asarray(guess, dtype=float).copy()
     fz = spec.f_at(z)
     if float(np.max(np.abs(fz), initial=0.0)) <= spec.tols.manifold:
         return z
     free = [i for i in range(spec.n) if i not in frozen]
     p = spec.n - spec.k
-    resid = None
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         Df = spec.Df_at(z)[:, free]
         if np.linalg.matrix_rank(Df) < p:
             raise PreconditionError(
@@ -295,10 +297,11 @@ def critical_manifold_solve(spec: FastSlowMapSpec, guess,
         if resid <= spec.tols.manifold:
             return z
     raise ConvergenceError(
-        f"critical-manifold Newton did not converge in {max_iter} iterations "
+        f"critical-manifold Newton did not converge in {_NEWTON_MAX_ITER} iterations "
         f"(last residual {resid:.3g})")
 
 
+_NEWTON_MAX_ITER = 50
 _NILPOTENCY_DIM_CAP = 64
 
 

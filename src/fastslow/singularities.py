@@ -272,15 +272,13 @@ class Embed2DResult:
     g0_slow: float
 
 
-def embed_2d(spec: FastSlowMapSpec, order: int | None = None,
-             tols: Tolerances | None = None) -> Embed2DResult:
+def embed_2d(spec: FastSlowMapSpec, order: int | None = None) -> Embed2DResult:
     """Embed a planar standard-form map near its singular base point and
     verify the fast-slow structure of the resulting field: the slow
     component is eps times (slow drift + higher order), the fast component
     at eps = 0 factors through the fast equation's jet with unit leading
     factor, and the field's singularity case matches the map's.
     """
-    tols = tols or spec.tols
     cls = classify_planar_singularity(spec)
     if cls.case is None:
         raise PreconditionError(
@@ -289,7 +287,7 @@ def embed_2d(spec: FastSlowMapSpec, order: int | None = None,
     order = spec.order if order is None else order
 
     H = extended_map_jets(spec)
-    result = takens_embed_unipotent(H, order, tols)
+    result = takens_embed_unipotent(H, order, spec.tols)
     V = result.V
 
     # slow component must be eps * (g0 + higher order)
@@ -306,11 +304,11 @@ def embed_2d(spec: FastSlowMapSpec, order: int | None = None,
     K0 = K.constant_term
 
     out = _planar_case(_planar_partials(V[0], V[0].coefficient((0, 0, 1)),
-                                        V[1].coefficient((0, 0, 1))), tols)
-    if not factor_residual <= tols.structure:
+                                        V[1].coefficient((0, 0, 1))), spec.tols)
+    if not factor_residual <= spec.tols.structure:
         raise StructuralError(
             f"embedded field does not factor through the fast equation: "
-            f"residual {factor_residual:.3g} exceeds {tols.structure:g}")
+            f"residual {factor_residual:.3g} exceeds {spec.tols.structure:g}")
     return Embed2DResult(embedding=result, case_in=cls.case, case_out=out.case,
                          coefficients_in=cls.coefficients,
                          coefficients_out=out.coefficients,
@@ -336,7 +334,7 @@ class ContactFrame:
     P: np.ndarray
 
 
-def build_contact_frame(DfN: np.ndarray, tols: Tolerances = DEFAULT_TOLS) -> ContactFrame:
+def build_contact_frame(DfN: np.ndarray) -> ContactFrame:
     p = DfN.shape[0]
     U, sigma, Vt = np.linalg.svd(DfN)
     r = Vt[-1, :]
@@ -382,14 +380,12 @@ def _numerical_rank(M: np.ndarray, tol: float) -> int:
     return int(np.sum(sigma > tol * sigma[0]))
 
 
-def check_regular_contact(spec: FastSlowMapSpec, z,
-                          tols: Tolerances | None = None) -> ContactReport:
+def check_regular_contact(spec: FastSlowMapSpec, z) -> ContactReport:
     """Evaluate the contact-point conditions at a point of the critical
     manifold: rank drop of the fast pairing by exactly one, transversality,
     quadratic nondegeneracy and slow regularity."""
-    tols = tols or spec.tols
     fz = spec.f_at(z)
-    if not float(np.max(np.abs(fz))) <= tols.manifold:
+    if not float(np.max(np.abs(fz))) <= spec.tols.manifold:
         raise PreconditionError(
             f"point is off the critical manifold: |f(z)| = {np.max(np.abs(fz)):.3g}")
     n, k = spec.n, spec.k
@@ -400,9 +396,9 @@ def check_regular_contact(spec: FastSlowMapSpec, z,
     DfN = Df @ N
     mu = nontrivial_multipliers(spec, z).values
 
-    rank = _numerical_rank(DfN, tols.rank)
+    rank = _numerical_rank(DfN, spec.tols.rank)
     rank_ok = rank == p - 1
-    trans_rank = _numerical_rank(Df, tols.rank)
+    trans_rank = _numerical_rank(Df, spec.tols.rank)
     trans_ok = trans_rank == p
 
     if not rank_ok:
@@ -413,7 +409,7 @@ def check_regular_contact(spec: FastSlowMapSpec, z,
                              slow_regularity=np.zeros(n),
                              slow_regularity_ok=False, verdict=False,
                              frame=None, multipliers=mu)
-    frame = build_contact_frame(DfN, tols)
+    frame = build_contact_frame(DfN)
     l, r = frame.l, frame.r
     Nr = N @ r
 
@@ -433,8 +429,8 @@ def check_regular_contact(spec: FastSlowMapSpec, z,
     g0 = spec.G_at(z, 0.0)
     slow_reg = Nr * float(l @ (Df @ g0))
 
-    nondeg_ok = abs(nondeg) >= tols.genericity_floor
-    slow_ok = float(np.linalg.norm(slow_reg)) >= tols.genericity_floor
+    nondeg_ok = abs(nondeg) >= spec.tols.genericity_floor
+    slow_ok = float(np.linalg.norm(slow_reg)) >= spec.tols.genericity_floor
     verdict = rank_ok and trans_ok and nondeg_ok and slow_ok
     return ContactReport(rank=rank, rank_ok=rank_ok,
                          transversality_rank=trans_rank, transversality_ok=trans_ok,
@@ -496,8 +492,7 @@ def _newton_rectify(spec: FastSlowMapSpec) -> tuple[JetVector, float]:
     return K, resid
 
 
-def cm_normal_form_transform(spec: FastSlowMapSpec,
-                             tols: Tolerances | None = None) -> ContactNormalForm:
+def cm_normal_form_transform(spec: FastSlowMapSpec) -> ContactNormalForm:
     """Conjugate the map into coordinates adapted to a regular contact point:
     rectify the critical manifold to {v = 0} with the jet inverse K of the
     fast equations, and split v into the critical direction u and its
@@ -505,14 +500,13 @@ def cm_normal_form_transform(spec: FastSlowMapSpec,
 
     The chart is z = (x, K(x, r u + P w, eps)); the map in it is
     (x, l v, Q v) of z-hat = H(z, eps) with v = f(z-hat)."""
-    tols = tols or spec.tols
     for comp in spec.f:
         if comp.constant_term != 0.0:
             raise PreconditionError(
                 "fast equations must vanish exactly at the base point "
                 f"(found constant term {comp.constant_term!r}); re-emit the "
                 "spec expanded about the contact point")
-    report = check_regular_contact(spec, spec.base_point, tols)
+    report = check_regular_contact(spec, spec.base_point)
     if not report.verdict:
         raise PreconditionError(
             "base point is not a regular contact point: "
@@ -580,7 +574,7 @@ class CenterManifoldData:
     ``restricted_f`` realize its fast-slow factorization: the closed-form
     factor (the original factor matrix and fast pairing evaluated along the
     graph, contracted with the tilted null direction) and the rectified fast
-    scalar obtained by exact division.
+    scalar obtained by exact division.  ``tols`` are the spec's tolerances.
     """
     W: JetVector                  # n-k-1 components in (x, u, eps)
     restricted_N: JetVector       # k+1 components in (x, u, eps), eps-free
@@ -593,6 +587,7 @@ class CenterManifoldData:
     n: int
     k: int
     order: int
+    tols: Tolerances = DEFAULT_TOLS
 
 
 def _split_var_divisible(jet: Jet, var: int, tol: float, what: str) -> Jet:
@@ -619,17 +614,16 @@ def _graph_solve(C: np.ndarray, Phi: np.ndarray, rhs: np.ndarray,
 
 
 def center_manifold_restricted_map(nf: ContactNormalForm,
-                                   order: int | None = None,
-                                   tols: Tolerances | None = None) -> CenterManifoldData:
+                                   order: int | None = None) -> CenterManifoldData:
     """Solve the graph-invariance equation for the center manifold order by
     order and build the restricted (k+1)-dimensional map on it.
 
     Each degree yields a Sylvester equation, solved by :func:`_graph_solve`;
     the framed fast block has no multiplier on the unit circle.  A graph whose
-    invariance residual exceeds ``tols.structure`` times max(1, largest graph
-    coefficient) is refused with :class:`ConvergenceError`."""
-    tols = tols or nf.spec.tols
+    invariance residual exceeds ``tols.structure`` of the spec times max(1,
+    largest graph coefficient) is refused with :class:`ConvergenceError`."""
     spec, frame = nf.spec, nf.frame
+    tols = spec.tols
     n, k, r = nf.n, nf.k, nf.order
     p = n - k
     order = r if order is None else order
@@ -739,7 +733,7 @@ def center_manifold_restricted_map(nf: ContactNormalForm,
     return CenterManifoldData(W=W, restricted_N=Ntilde, restricted_f=f_tilde,
                               restricted_G=G_tilde, invariance_residual=residual,
                               restricted_map=restricted, W0=W0, mu1=mu1,
-                              n=n, k=k, order=order)
+                              n=n, k=k, order=order, tols=tols)
 
 
 # ---------------------------------------------------------------------------
@@ -757,12 +751,12 @@ class ContactEmbedding:
     contact_ok: bool
 
 
-def embed_on_center_manifold(cm: CenterManifoldData, order: int | None = None,
-                             tols: Tolerances = DEFAULT_TOLS) -> ContactEmbedding:
+def embed_on_center_manifold(cm: CenterManifoldData,
+                             order: int | None = None) -> ContactEmbedding:
     """Embed the restricted map into a flow and cross-check the field's
     coefficients against closed formulas computed from the map alone.
 
-    Checks, all at the structural tolerance:
+    Checks, all at the structural tolerance of ``cm.tols``:
       * the field's layer part factors through the restricted fast scalar,
         with factor and eps-forcing matching the map data at the origin (the
         eps column of the slow block carries the finite log-series
@@ -782,7 +776,7 @@ def embed_on_center_manifold(cm: CenterManifoldData, order: int | None = None,
 
     H = JetVector(list(cm.restricted_map) + [Jet.variable(mred, r, eps_var)],
                   mred, r)
-    result = takens_embed_unipotent(H, order, tols)
+    result = takens_embed_unipotent(H, order, cm.tols)
     V = result.V
 
     # (a) linear data at the origin: the u column is N(0); in the eps column
@@ -830,21 +824,20 @@ def embed_on_center_manifold(cm: CenterManifoldData, order: int | None = None,
     quad = float(np.abs(got - expected)[E2[:, eps_var] == 0].max())
 
     failures = []
-    if not lin <= tols.structure:
+    if not lin <= cm.tols.structure:
         failures.append(f"origin values of the factor/forcing (gap {lin:.3g})")
-    if not factor_residual <= tols.structure:
+    if not factor_residual <= cm.tols.structure:
         failures.append(f"layer factorization through the restricted fast "
                         f"scalar (residual {factor_residual:.3g})")
-    if not partials_diff <= tols.structure:
+    if not partials_diff <= cm.tols.structure:
         failures.append(f"slow partial derivatives of the critical factor "
                         f"(gap {partials_diff:.3g})")
-    if not quad <= tols.structure:
+    if not quad <= cm.tols.structure:
         failures.append(f"closed-form quadratic coefficients (gap {quad:.3g})")
     if failures:
         raise StructuralError("embedding structure checks failed: "
                               + "; ".join(failures))
-    ok = True
     return ContactEmbedding(embedding=result, N_frak=N_frak,
                             factor_residual=factor_residual,
                             linear_match=lin, partials_diff=partials_diff,
-                            quad_closed_diff=quad, contact_ok=ok)
+                            quad_closed_diff=quad, contact_ok=True)

@@ -228,6 +228,21 @@ class TestCommands:
         assert stdout == ""
         assert err.startswith("error[ConvergenceError]: ") and err.count("\n") == 1
 
+    def test_embed_overflow_prints_one_error_line(self, tmp_path):
+        # numpy's overflow warnings from the Lie series must not reach stderr
+        # ahead of the one error line (the in-process test above hides them)
+        path = tmp_path / "huge.map"
+        path.write_text(FOLD_TEXT.replace("2 0 : 1\n", "2 0 : 1e200\n0 4 : 1e200\n"))
+        src = os.path.dirname(os.path.dirname(fastslow.__file__))
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-m", "fastslow.cli", "embed",
+                               "--spec", str(path)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error[ConvergenceError]: ")
+        assert proc.stderr.count("\n") == 1
+
     def test_selftest(self, capsys):
         assert execute_command(["selftest"]) == 0
         assert "8/8 checks passed" in capsys.readouterr().out

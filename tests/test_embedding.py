@@ -72,6 +72,26 @@ class TestJordanChevalley:
                 E = E + P
             assert np.max(np.abs(E - A)) <= 1e-12
 
+    @pytest.mark.parametrize("diagnostic", [nilpotent_log, jordan_chevalley_split])
+    def test_non_square_matrix_refused(self, diagnostic):
+        with pytest.raises(StructuralError, match="square"):
+            diagnostic(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("diagnostic", [nilpotent_log, jordan_chevalley_split])
+    def test_vector_refused(self, diagnostic):
+        with pytest.raises(StructuralError, match="square"):
+            diagnostic(np.zeros(3))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nilpotent_log_refuses_non_finite(self, value):
+        with pytest.raises(PreconditionError, match="non-finite"):
+            nilpotent_log(np.array([[1.0, value], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_split_refuses_non_finite(self, value):
+        with pytest.raises(PreconditionError, match="non-finite"):
+            jordan_chevalley_split(np.array([[2.0, 0.0], [value, 1.0]]))
+
 
 class TestFlowJet:
     def test_scalar_quadratic(self):

@@ -353,3 +353,10 @@ class TestFrozenManifoldSolve:
         # with both coordinates free the same guess converges
         out = critical_manifold_solve(spec, [-0.5, 0.0])
         assert abs(spec.f_at(out)[0]) <= 1e-11
+
+    @pytest.mark.parametrize("frozen", [(7,), (-1,), (0, 2)])
+    def test_frozen_index_out_of_range_refused(self, fold_spec, frozen):
+        # an index outside 0..n-1 used to be ignored, leaving every
+        # coordinate free
+        with pytest.raises(StructuralError, match="frozen"):
+            critical_manifold_solve(fold_spec, [0.5, 0.2], frozen=frozen)

@@ -2,10 +2,13 @@
 embedding structure, contact points, center-manifold pipeline, and the
 closed-form coefficient identities."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from fastslow.errors import DegenerateCaseError, PreconditionError, StructuralError
+from fastslow.errors import (ConvergenceError, DegenerateCaseError, PreconditionError,
+                             StructuralError)
 from fastslow.jets import Jet, JetVector, jet_partial
 from fastslow.model import FastSlowMapSpec, standard_form_2d
 from fastslow.singularities import (CenterManifoldData, NormalFormCoefficients,
@@ -14,6 +17,8 @@ from fastslow.singularities import (CenterManifoldData, NormalFormCoefficients,
                                     classify_planar_singularity,
                                     cm_normal_form_transform, embed_2d,
                                     embed_on_center_manifold, threshold_lambda)
+from fastslow.specfiles import emit_mapspec, parse_mapspec
+from fastslow.tols import DEFAULT_TOLS
 from conftest import (make_contact3d_spec, make_contact4d_k1_spec,
                       make_contact4d_k2_spec, make_fold_spec,
                       make_pitchfork_spec, make_transcritical_spec,
@@ -397,3 +402,33 @@ class TestContactEmbedding:
             assert abs(cm.mu1 - 1.0) <= 1e-10
             produced += 1
         assert produced == 20
+
+
+class TestSpecTolerances:
+    """An analysis of a spec reads its tolerances from the spec alone."""
+
+    @pytest.mark.parametrize("maker", [make_contact3d_spec, make_contact4d_k1_spec,
+                                       make_contact4d_k2_spec])
+    def test_contact_chain_reads_the_spec_band(self, maker):
+        # the fixtures embed with residuals of 1e-16..1e-15: a band of 1e-20
+        # parsed into the spec refuses them, as center-manifold --tol does
+        tols = dataclasses.replace(DEFAULT_TOLS, embed_residual=1e-20)
+        spec = parse_mapspec(emit_mapspec(maker()), tols=tols).spec
+        cm = center_manifold_restricted_map(cm_normal_form_transform(spec), order=4)
+        assert cm.tols is tols
+        with pytest.raises(ConvergenceError):
+            embed_on_center_manifold(cm, order=4)
+
+    def test_embed_2d_judges_both_cases_by_the_spec_bands(self):
+        # a genericity floor of 10 leaves the fold's bands ambiguous: the
+        # input case is refused by the bands that would judge the output
+        # case, and no call can pass the output case other bands
+        tols = dataclasses.replace(DEFAULT_TOLS, genericity_floor=10.0)
+        spec = parse_mapspec(emit_mapspec(make_fold_spec()), tols=tols).spec
+        with pytest.raises(DegenerateCaseError) as judged_in:
+            classify_planar_singularity(spec)
+        with pytest.raises(DegenerateCaseError) as judged_by_embed:
+            embed_2d(spec, order=4)
+        assert str(judged_by_embed.value) == str(judged_in.value)
+        with pytest.raises(TypeError):
+            embed_2d(make_fold_spec(), order=4, tols=tols)
